@@ -14,7 +14,7 @@ Two verdicts ride along with every sweep:
 
 :func:`run_precision_audit` sweeps one fact set (the ``repro check
 --audit`` CLI); :func:`run_check_audit` sweeps the benchmark programs
-and becomes the additive ``checks`` block of the ``repro-figure6/8``
+and becomes the additive ``checks`` block of the ``repro-figure6/9``
 JSON.
 """
 

@@ -10,14 +10,11 @@ timings the block carries:
 
 * the DL5xx diagnostic counts and the number of reordered rules from
   the ``repro-cost-plan/1`` plan;
-* the shard plan's *predicted* skew (from the plan's rule weights)
-  next to the *measured* skew of an actual sharded run, so the cost
-  model's load forecasts are audited against reality;
 * the configuration-closure certificate summary
   (``repro-kernel-cert/1``): closure obligations discharged and kernel
   variant coverage — ``certified`` requires it to pass.
 
-The block is additive in the figure6 JSON (schema ``repro-figure6/8``)
+The block is additive in the figure6 JSON (schema ``repro-figure6/9``)
 and is also a payload of the committed ``BENCH_*.json`` trajectory
 files.
 """
@@ -36,28 +33,22 @@ from repro.perf.stats import stopwatch
 #: source orders are already good), which the block reports honestly.
 DEFAULT_BENCHMARK = "fanout"
 DEFAULT_CONFIGURATION = "2-object+H"
-DEFAULT_SHARDS = 4
 
 
 def run_cost_block(
     scale: int = 2,
     benchmark: str = DEFAULT_BENCHMARK,
     configuration: str = DEFAULT_CONFIGURATION,
-    shards: int = DEFAULT_SHARDS,
 ) -> Dict:
     """Source-order engine vs cost-ordered engine vs cost-ordered
     kernels.  Returns the additive ``cost`` block of
-    ``repro-figure6/8``.
+    ``repro-figure6/9``.
     """
     from repro.compile.closure import certify_kernels
     from repro.compile.emit import compile_transformer_analysis
     from repro.datalog.cost import analyze_cost
     from repro.datalog.engine import Engine
     from repro.datalog.kernel import KernelEngine
-    from repro.datalog.parallel import ParallelEngine
-    from repro.datalog.partition import (
-        build_shard_plan, pointer_partition_spec,
-    )
 
     config = config_by_name(configuration)
     facts = corpus_facts(benchmark, scale)
@@ -95,17 +86,6 @@ def run_cost_block(
     )
     kernel_results, kernel_solve_seconds = stopwatch(kernel_engine.run)
 
-    # Predicted skew (cost weights spread over the shard plan) next to
-    # the measured skew of an actual sharded run.
-    spec = pointer_partition_spec(program)
-    shard_plan = build_shard_plan(
-        program, spec, builtins=builtins, weights=plan.rule_weights()
-    )
-    sharded = ParallelEngine(
-        program, builtins, shards=shards, processes=False, kernels=True,
-    )
-    sharded_results = sharded.run()
-
     certificate = certify_kernels(
         config.flavour, config.m, config.h,
         program=kernel_engine.program, kernels=kernel_engine.kernels,
@@ -115,8 +95,6 @@ def run_cost_block(
     def speedup(seconds: float):
         return engine_seconds / seconds if seconds > 0 else None
 
-    predicted = shard_plan.predicted_skew(shards)
-    measured = sharded.stats.skew()
     return {
         "benchmark": benchmark,
         "configuration": configuration,
@@ -143,12 +121,6 @@ def run_cost_block(
             "solve_speedup": speedup(kernel_solve_seconds),
             "parity": kernel_results == baseline,
         },
-        "skew": {
-            "shards": shards,
-            "predicted": predicted,
-            "measured": measured,
-            "parity": sharded_results == baseline,
-        },
         "closure": {
             "obligations": len(certificate.obligations),
             "violations": len(certificate.violations()),
@@ -161,7 +133,6 @@ def run_cost_block(
         "certified": (
             ordered_results == baseline
             and kernel_results == baseline
-            and sharded_results == baseline
             and certificate.certified
         ),
     }
@@ -200,14 +171,6 @@ def format_cost(block: Dict) -> str:
         f" {kernel['compile_seconds'] * 1000:.1f}ms + solve"
         f" {kernel['solve_seconds'] * 1000:.1f}ms{solve_suffix}"
         f" parity={'ok' if kernel['parity'] else 'MISMATCH'}"
-    )
-    skew = block["skew"]
-    predicted = (
-        "n/a" if skew["predicted"] is None else f"{skew['predicted']:.2f}"
-    )
-    lines.append(
-        f"  skew over {skew['shards']} shards: predicted {predicted}"
-        f" vs measured {skew['measured']:.2f}"
     )
     closure = block["closure"]
     lines.append(

@@ -22,7 +22,7 @@ to the paper's Figure 5 program, best-of-``repetitions``, reported as
 an incremental-vs-scratch speedup (the acceptance floor is 5×).
 
 The result dict is embedded by ``repro figure6 --json`` as the
-additive ``incremental`` field of schema ``repro-figure6/8``.
+additive ``incremental`` field of schema ``repro-figure6/9``.
 """
 
 from __future__ import annotations

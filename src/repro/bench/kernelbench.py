@@ -2,24 +2,17 @@
 
 Times the columnar kernel backend
 (:class:`repro.datalog.kernel.KernelEngine`) against the generic
-interpreting engine on one synthetic DaCapo analogue, plus the sharded
-executor running kernels inside each shard
-(:class:`repro.datalog.parallel.ParallelEngine` with ``kernels=True``),
-and reports:
+interpreting engine on one synthetic DaCapo analogue, and reports:
 
 * generic-engine wall clock (the baseline all speedups divide);
 * kernel-backend wall clock split into one-time kernel compilation
   (interning + code generation, independent of fact scale) and the
   fixpoint solve, with speedups for both the solve alone and the
   end-to-end total, plus rounds, rule evaluations and derived facts;
-* for the sharded kernel run: wall clock, speedup, how many rule
-  evaluations went through compiled kernels vs the interpreter, and
-  the run-time shard-safety certificate counters (cross-shard probes
-  from shard-local rules and ownership violations — both must be zero);
-* exact parity: every backend's row sets are compared against the
-  generic engine's before any timing is reported.
+* exact parity: the kernel backend's row sets are compared against
+  the generic engine's before any timing is reported.
 
-The block is additive in the figure6 JSON (schema ``repro-figure6/8``)
+The block is additive in the figure6 JSON (schema ``repro-figure6/9``)
 and is also a payload of the committed ``BENCH_*.json`` trajectory
 files (ROADMAP item 4).
 """
@@ -34,24 +27,20 @@ from repro.perf.stats import stopwatch
 
 DEFAULT_BENCHMARK = "bloat"
 DEFAULT_CONFIGURATION = "2-object+H"
-DEFAULT_SHARDS = 4
 
 
 def run_kernel_block(
     scale: int = 2,
     benchmark: str = DEFAULT_BENCHMARK,
     configuration: str = DEFAULT_CONFIGURATION,
-    shards: int = DEFAULT_SHARDS,
-    processes: bool = True,
 ) -> Dict:
-    """Generic engine vs kernel backend vs sharded kernels.
+    """Generic engine vs kernel backend.
 
-    Returns the additive ``kernels`` block of ``repro-figure6/8``.
+    Returns the additive ``kernels`` block of ``repro-figure6/9``.
     """
     from repro.compile.emit import compile_transformer_analysis
     from repro.datalog.engine import Engine
     from repro.datalog.kernel import KernelEngine
-    from repro.datalog.parallel import ParallelEngine
 
     config = config_by_name(configuration)
     facts = corpus_facts(benchmark, scale)
@@ -71,31 +60,9 @@ def run_kernel_block(
     kernel_results, solve_seconds = stopwatch(kernel_engine.run)
     kernel_seconds = compile_seconds + solve_seconds
 
-    def _sharded_run():
-        sharded = ParallelEngine(
-            compiled.program, compiled.builtins, shards=shards,
-            processes=processes, kernels=True,
-        )
-        return sharded, sharded.run()
-
-    (sharded, sharded_results), sharded_seconds = stopwatch(_sharded_run)
-    stats = sharded.stats
-
     def speedup(seconds: float):
         return engine_seconds / seconds if seconds > 0 else None
 
-    sharded_run = {
-        "shards": shards,
-        "backend": stats.backend,
-        "seconds": sharded_seconds,
-        "speedup": speedup(sharded_seconds),
-        "rounds": stats.rounds,
-        "rule_evaluations": stats.rule_evaluations,
-        "kernel_rule_evaluations": stats.kernel_rule_evaluations,
-        "cross_shard_probes_local": stats.cross_shard_probes_local,
-        "ownership_violations": stats.ownership_violations,
-        "parity": sharded_results == baseline,
-    }
     return {
         "benchmark": benchmark,
         "configuration": configuration,
@@ -113,15 +80,7 @@ def run_kernel_block(
             "facts_derived": kernel_engine.stats.facts_derived,
             "parity": kernel_results == baseline,
         },
-        "sharded": sharded_run,
-        # Bit-identical results from both kernel paths, and a clean
-        # shard-safety certificate from the sharded run — all must hold.
-        "certified": (
-            kernel_results == baseline
-            and sharded_run["parity"]
-            and sharded_run["cross_shard_probes_local"] == 0
-            and sharded_run["ownership_violations"] == 0
-        ),
+        "certified": kernel_results == baseline,
     }
 
 
@@ -148,19 +107,9 @@ def format_kernels(block: Dict) -> str:
         f" evaluations={kernel['rule_evaluations']}"
         f" parity={'ok' if kernel['parity'] else 'MISMATCH'}"
     )
-    run = block["sharded"]
-    speedup = run["speedup"]
-    suffix = f" ({speedup:.2f}x)" if speedup is not None else ""
-    lines.append(
-        f"  {run['shards']} shards + kernels ({run['backend']}):"
-        f" {run['seconds'] * 1000:.1f}ms{suffix}"
-        f" kernel_evaluations={run['kernel_rule_evaluations']}"
-        f"/{run['rule_evaluations']}"
-        f" parity={'ok' if run['parity'] else 'MISMATCH'}"
-    )
     lines.append(
         "  certificate: "
-        + ("ok (parity + zero cross-shard probes from local rules)"
+        + ("ok (parity with the generic engine)"
            if block["certified"] else "FAILED")
     )
     return "\n".join(lines)

@@ -35,7 +35,7 @@ counts by code.  The gateway additionally gets an **overload probe**
 ``overload`` responses, not timeouts or dropped connections) and the
 block records **warm-start economics** (snapshot restore vs cold
 solve).  The result embeds as the additive ``serving`` block of
-``repro-figure6/8`` and as a ``BENCH_*.json`` trajectory payload.
+``repro-figure6/9`` and as a ``BENCH_*.json`` trajectory payload.
 """
 
 from __future__ import annotations
@@ -448,7 +448,7 @@ def _parity_check(
     }
 
 
-# -- the figure6/8 block ----------------------------------------------------
+# -- the figure6/9 block ----------------------------------------------------
 
 
 def run_serving_block(
@@ -460,7 +460,7 @@ def run_serving_block(
 ) -> Dict:
     """Threaded server vs async gateway under identical open-loop load.
 
-    Returns the additive ``serving`` block of ``repro-figure6/8``.
+    Returns the additive ``serving`` block of ``repro-figure6/9``.
     """
     import os
     import tempfile

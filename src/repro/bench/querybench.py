@@ -18,7 +18,7 @@ demand engine (:class:`repro.cfl.demand.DemandPointsTo`) is measured
 alongside as a context-insensitive ``points_to`` baseline.
 
 The result dict is embedded by ``repro figure6 --json`` as the
-additive ``query_latency`` field of schema ``repro-figure6/8``.
+additive ``query_latency`` field of schema ``repro-figure6/9``.
 """
 
 from __future__ import annotations

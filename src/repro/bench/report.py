@@ -122,14 +122,11 @@ def format_csv(table: Figure6) -> str:
 #: adds the additive ``incremental`` field (the edit-churn workload of
 #: :mod:`repro.bench.deltabench`); ``/4`` adds the additive ``checks``
 #: field (the client-checker precision audit of
-#: :mod:`repro.bench.checkbench`); ``/5`` adds the additive ``parallel``
-#: field (the sharded-fixpoint workload of
-#: :mod:`repro.bench.parallelbench`: shard-plan summary, per-shard-count
-#: timings/skew/exchange volume, and the zero-cross-shard-probe
-#: certificate); ``/6`` adds the additive ``kernels`` field (the
-#: columnar kernel-backend workload of :mod:`repro.bench.kernelbench`:
-#: generic engine vs fused integer kernels vs sharded kernels, with
-#: parity and certificate); ``/7`` adds the additive ``serving`` field
+#: :mod:`repro.bench.checkbench`); ``/5`` added a ``parallel`` field
+#: (a sharded-fixpoint workload, removed again in ``/9``); ``/6`` adds
+#: the additive ``kernels`` field (the columnar kernel-backend workload
+#: of :mod:`repro.bench.kernelbench`: generic engine vs fused integer
+#: kernels, with parity); ``/7`` adds the additive ``serving`` field
 #: (the open-loop serving workload of :mod:`repro.bench.loadbench`:
 #: threaded ``repro-serve/1`` server vs asyncio ``repro-serve/2``
 #: gateway under fixed arrival rates, with steady-state latency
@@ -137,10 +134,11 @@ def format_csv(table: Figure6) -> str:
 #: economics and response parity); ``/8`` adds the additive ``cost``
 #: field (the cost-ordered evaluation workload of
 #: :mod:`repro.bench.costbench`: source-order engine vs cost-ordered
-#: engine vs cost-ordered kernels, the DL5xx diagnostic counts, the
-#: predicted-vs-measured shard skew, and the configuration-closure
-#: certificate).
-JSON_SCHEMA = "repro-figure6/8"
+#: engine vs cost-ordered kernels, the DL5xx diagnostic counts, and the
+#: configuration-closure certificate); ``/9`` drops the ``parallel``
+#: field, the ``kernels`` block's ``sharded`` run and the ``cost``
+#: block's ``skew`` run.
+JSON_SCHEMA = "repro-figure6/9"
 
 
 def _measurement_json(measurement: Measurement) -> Dict:
@@ -163,12 +161,11 @@ def figure6_json(
     query_latency: Optional[Dict] = None,
     incremental: Optional[Dict] = None,
     checks: Optional[Dict] = None,
-    parallel: Optional[Dict] = None,
     kernels: Optional[Dict] = None,
     serving: Optional[Dict] = None,
     cost: Optional[Dict] = None,
 ) -> Dict:
-    """The table as a JSON-serializable dict (schema ``repro-figure6/8``).
+    """The table as a JSON-serializable dict (schema ``repro-figure6/9``).
 
     Top-level keys: ``schema``, the run parameters (``scale``,
     ``repetitions``, ``engine``; ``None`` when unknown), ``benchmarks``,
@@ -179,24 +176,19 @@ def figure6_json(
     (new in ``/3``, the edit-churn workload of
     :func:`repro.bench.deltabench.run_delta_churn`) and ``checks``
     (new in ``/4``, the client-checker precision audit of
-    :func:`repro.bench.checkbench.run_check_audit`) and ``parallel``
-    (new in ``/5``, the sharded-fixpoint workload of
-    :func:`repro.bench.parallelbench.run_parallel_fixpoint`: the
-    shard-plan rule classification, per-shard-count speedup/skew/
-    exchange volume, and the run-time shard-safety certificate) and
-    ``kernels`` (new in ``/6``, the columnar kernel-backend workload of
+    :func:`repro.bench.checkbench.run_check_audit`) and ``kernels``
+    (new in ``/6``, the columnar kernel-backend workload of
     :func:`repro.bench.kernelbench.run_kernel_block`: generic engine vs
-    fused integer kernels vs sharded kernels, with exact parity and the
-    shard-safety certificate) and ``serving`` (new in ``/7``, the
-    open-loop serving workload of
+    fused integer kernels, with exact parity) and ``serving`` (new in
+    ``/7``, the open-loop serving workload of
     :func:`repro.bench.loadbench.run_serving_block`: threaded server vs
     async gateway throughput and latency percentiles at fixed arrival
     rates, overload behaviour and warm-start economics) and ``cost``
     (new in ``/8``, the cost-ordered evaluation workload of
     :func:`repro.bench.costbench.run_cost_block`: source-order engine
     vs cost-ordered engine vs cost-ordered kernels with exact parity,
-    DL5xx diagnostic counts, predicted-vs-measured shard skew, and the
-    configuration-closure certificate summary).
+    DL5xx diagnostic counts, and the configuration-closure certificate
+    summary).
     Each cell carries
     both abstractions' measurements (sizes, CI sizes, total, seconds,
     and per-relation store counters when available) plus the derived
@@ -206,7 +198,6 @@ def figure6_json(
         "query_latency": query_latency,
         "incremental": incremental,
         "checks": checks,
-        "parallel": parallel,
         "kernels": kernels,
         "serving": serving,
         "cost": cost,
@@ -251,7 +242,6 @@ def format_json(
     query_latency: Optional[Dict] = None,
     incremental: Optional[Dict] = None,
     checks: Optional[Dict] = None,
-    parallel: Optional[Dict] = None,
     kernels: Optional[Dict] = None,
     serving: Optional[Dict] = None,
     cost: Optional[Dict] = None,
@@ -261,8 +251,7 @@ def format_json(
         figure6_json(table, scale=scale, repetitions=repetitions,
                      engine=engine, query_latency=query_latency,
                      incremental=incremental, checks=checks,
-                     parallel=parallel, kernels=kernels, serving=serving,
-                     cost=cost),
+                     kernels=kernels, serving=serving, cost=cost),
         indent=2,
     ) + "\n"
 

@@ -5,8 +5,7 @@ Subcommands:
 ``analyze``
     Run a pointer analysis over Java-subset source or a Doop-style
     facts directory and print points-to sets, the call graph, and
-    statistics.  ``--shards N`` runs the plan-driven parallel executor
-    instead and checks exact parity against the sequential engine.
+    statistics.
 
 ``facts``
     Generate a Doop-style ``.facts`` directory from source.
@@ -19,8 +18,8 @@ Subcommands:
     Statically verify a ``.dl`` Datalog program, a source program's IR,
     or the emitted configuration(s) for a source program.  Exits
     non-zero on any error-severity diagnostic (any diagnostic at all
-    with ``--strict-warnings``).  ``--shard-plan`` additionally runs
-    the shard-safety analysis (DL4xx) and prints the partition plan;
+    with ``--strict-warnings``).  ``--cost`` additionally runs the
+    cost & cardinality analysis (DL5xx) and prints the join-order plan;
     ``--json`` writes one byte-stable ``repro-lint/1`` document.
 
 ``figure6``
@@ -63,6 +62,20 @@ _ABSTRACTIONS = {
 }
 
 
+def _read_input(path: str, command: str) -> str:
+    """The text of ``path``.  An unreadable file ends the run with one
+    ``repro COMMAND: cannot read PATH: REASON`` line on stderr and exit
+    status 1, not a traceback."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        print(f"repro {command}: cannot read {path}: {reason}",
+              file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _load_facts(args):
     from repro.frontend.doopfacts import read_facts
     from repro.frontend.factgen import facts_from_source
@@ -71,8 +84,7 @@ def _load_facts(args):
         return read_facts(args.facts_dir)
     if not args.source:
         raise SystemExit("error: provide a source file or --facts-dir")
-    with open(args.source, encoding="utf-8") as handle:
-        return facts_from_source(handle.read())
+    return facts_from_source(_read_input(args.source, args.command))
 
 
 def _analysis_config(args):
@@ -88,8 +100,6 @@ def cmd_analyze(args) -> int:
         return _analyze_diff(args)
     if args.magic:
         return _analyze_magic(args)
-    if args.shards:
-        return _analyze_shards(args)
     if args.backend and args.backend != "worklist":
         return _analyze_backend(args)
     facts = _load_facts(args)
@@ -155,10 +165,8 @@ def _analyze_diff(args) -> int:
     from repro.incremental import IncrementalSolver, copy_facts, diff_facts
 
     old_path, new_path = args.diff
-    with open(old_path, encoding="utf-8") as handle:
-        old = facts_from_source(handle.read())
-    with open(new_path, encoding="utf-8") as handle:
-        new = facts_from_source(handle.read())
+    old = facts_from_source(_read_input(old_path, args.command))
+    new = facts_from_source(_read_input(new_path, args.command))
     config = _analysis_config(args)
     delta = diff_facts(old, new)
     print(f"fact delta ({old_path} -> {new_path}):")
@@ -197,89 +205,6 @@ def _analyze_diff(args) -> int:
     )
     print(f"parity with scratch solve: {'ok' if identical else 'MISMATCH'}")
     return 0 if identical else 1
-
-
-def _analyze_shards(args) -> int:
-    """``analyze --shards N``: the plan-driven sharded fixpoint.
-
-    Compiles the configuration, builds the shard plan for
-    ``--shard-key``, runs the parallel executor (multiprocessing by
-    default; ``--in-process`` shares one interpreter), verifies exact
-    row-set parity against the sequential engine, and prints points-to
-    sets plus the plan and run-time shard-safety certificate.  Exits 1
-    on a parity mismatch or a certificate violation.
-    """
-    import time
-
-    from repro.compile.emit import (
-        compile_context_string_analysis,
-        compile_transformer_analysis,
-    )
-    from repro.datalog.engine import Engine
-    from repro.datalog.parallel import ParallelEngine, ShardSafetyError
-
-    facts = _load_facts(args)
-    config = _analysis_config(args)
-    compiler = (
-        compile_transformer_analysis
-        if _ABSTRACTIONS[args.abstraction] == "transformer-string"
-        else compile_context_string_analysis
-    )
-    compiled = compiler(facts, config.flavour, config.m, config.h)
-    engine = ParallelEngine(
-        compiled.program, compiled.builtins, shards=args.shards,
-        key=args.shard_key, processes=not args.in_process,
-    )
-    try:
-        raw = engine.run()
-    except ShardSafetyError as error:
-        print(f"repro analyze: shard-safety violation: {error}",
-              file=sys.stderr)
-        return 1
-    start = time.perf_counter()
-    sequential = Engine(compiled.program, compiled.builtins).run()
-    sequential_seconds = time.perf_counter() - start
-    parity = raw == sequential
-
-    decoded = compiled.decoder(raw)
-    by_var = {}
-    for row in decoded.get("pts", ()):
-        by_var.setdefault(row[0], set()).add(row[1])
-    if args.var:
-        for var in args.var:
-            targets = ", ".join(sorted(by_var.get(var, ()))) or "∅"
-            print(f"{var} -> {{{targets}}}")
-    else:
-        for var, heaps in sorted(by_var.items()):
-            print(f"{var} -> {{{', '.join(sorted(heaps))}}}")
-
-    plan = engine.plan
-    counts = plan.counts()
-    stats = engine.stats
-    print(
-        f"\nshard plan (key={plan.spec.key}): {len(plan.rules)} rules —"
-        f" {counts['local']} local, {counts['exchange']} exchange,"
-        f" {counts['broadcast']} broadcast"
-        f" ({plan.witness_count()} witnesses)"
-    )
-    speedup = (
-        sequential_seconds / stats.seconds if stats.seconds > 0 else 0.0
-    )
-    print(
-        f"{args.shards} shards ({stats.backend}):"
-        f" {stats.seconds * 1000:.1f}ms vs sequential"
-        f" {sequential_seconds * 1000:.1f}ms ({speedup:.2f}x),"
-        f" rounds={stats.rounds}, skew={stats.skew():.2f},"
-        f" exchanged={stats.exchanged_rows},"
-        f" broadcast_volume={stats.broadcast_volume}"
-    )
-    print(
-        f"certificate: cross-shard probes {stats.cross_shard_probes}"
-        f" (shard-local rules {stats.cross_shard_probes_local}),"
-        f" ownership violations {stats.ownership_violations}"
-    )
-    print(f"parity with sequential engine: {'ok' if parity else 'MISMATCH'}")
-    return 0 if parity else 1
 
 
 def _parse_magic_query(spec: str):
@@ -426,7 +351,7 @@ def _analyze_backend(args) -> int:
     tuple-row code, or the fused columnar kernels), verifies every
     derived relation fact-for-fact against the worklist solver, and
     prints points-to sets plus engine statistics.  Exits 1 on any
-    mismatch — the same contract as ``--shards``.
+    mismatch.
     """
     from repro.compile.emit import (
         compile_context_string_analysis,
@@ -505,8 +430,7 @@ def cmd_facts(args) -> int:
     from repro.frontend.doopfacts import write_facts
     from repro.frontend.factgen import facts_from_source
 
-    with open(args.source, encoding="utf-8") as handle:
-        facts = facts_from_source(handle.read())
+    facts = facts_from_source(_read_input(args.source, args.command))
     write_facts(facts, args.out)
     print(f"wrote {sum(facts.counts().values())} facts to {args.out}")
     return 0
@@ -875,7 +799,7 @@ _LINT_MAX_LINES = 50
 LINT_JSON_SCHEMA = "repro-lint/1"
 
 
-def _lint_print(report, args, plan=None, cost_plan=None) -> bool:
+def _lint_print(report, args, cost_plan=None) -> bool:
     """Print a report; returns True when it should fail the run."""
     from repro.lint.diagnostics import Severity
 
@@ -887,16 +811,6 @@ def _lint_print(report, args, plan=None, cost_plan=None) -> bool:
         print("\n".join(shown))
         if len(shown) < len(lines):
             print(f"... and {len(lines) - len(shown)} more (use --verbose)")
-    if plan is not None:
-        plan_lines = plan.render().splitlines()
-        shown = plan_lines if args.verbose else plan_lines[:_LINT_MAX_LINES]
-        print("\n".join(shown))
-        if len(shown) < len(plan_lines):
-            print(
-                f"... plan truncated"
-                f" ({len(plan_lines) - len(shown)} more lines;"
-                " use --verbose)"
-            )
     if cost_plan is not None:
         cost_lines = cost_plan.render().splitlines()
         shown = cost_lines if args.verbose else cost_lines[:_LINT_MAX_LINES]
@@ -913,7 +827,7 @@ def _lint_print(report, args, plan=None, cost_plan=None) -> bool:
     return not report.ok
 
 
-def _lint_json_entry(report, plan=None, cost_plan=None):
+def _lint_json_entry(report, cost_plan=None):
     """One ``subjects[]`` entry of the ``repro-lint/1`` document."""
     def sort_key(diagnostic):
         pos = diagnostic.pos
@@ -944,29 +858,15 @@ def _lint_json_entry(report, plan=None, cost_plan=None):
             for d in sorted(report.diagnostics, key=sort_key)
         ],
     }
-    if plan is not None:
-        entry["shard_plan"] = plan.to_json()
     if cost_plan is not None:
         entry["cost_plan"] = cost_plan.to_json()
     return entry
 
 
-def _lint_report(report, args, entries, plan=None, cost_plan=None) -> bool:
+def _lint_report(report, args, entries, cost_plan=None) -> bool:
     """Route one report to text output and/or the JSON collector."""
-    entries.append(_lint_json_entry(report, plan, cost_plan))
-    return _lint_print(report, args, plan, cost_plan)
-
-
-def _lint_shard_plan(program, builtins, args, report):
-    """``--shard-plan``: merge DL4xx findings into ``report`` and
-    return the plan (or ``None`` when the program is unstratifiable)."""
-    from repro.lint.shards import shard_plan_or_none
-
-    plan, diagnostics = shard_plan_or_none(
-        program, builtins, key=args.shard_key
-    )
-    report.extend(diagnostics)
-    return plan
+    entries.append(_lint_json_entry(report, cost_plan))
+    return _lint_print(report, args, cost_plan)
 
 
 def _lint_cost(program, builtins, report):
@@ -1017,13 +917,7 @@ def cmd_lint(args) -> int:
     from repro.datalog.parser import DatalogSyntaxError, parse_datalog
     from repro.frontend.parser import ParseError
 
-    try:
-        with open(args.path, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as error:
-        print(f"repro lint: {error}", file=sys.stderr)
-        return 1
-
+    source = _read_input(args.path, args.command)
     if _looks_like_snapshot(args.path, source):
         return _lint_snapshot(args.path)
     if _looks_like_check_report(args.path, source):
@@ -1263,13 +1157,10 @@ def _lint_path(source: str, args, entries) -> bool:
             for lit in rule.body
         } - idb
         report = lint_program(program, subject=args.path, edb=edb)
-        plan = None
-        if args.shard_plan:
-            plan = _lint_shard_plan(program, None, args, report)
         cost_plan = None
         if args.cost:
             cost_plan = _lint_cost(program, None, report)
-        return _lint_report(report, args, entries, plan, cost_plan)
+        return _lint_report(report, args, entries, cost_plan)
 
     from repro.frontend.factgen import facts_from_source
     from repro.frontend.parser import parse_program
@@ -1283,7 +1174,7 @@ def _lint_path(source: str, args, entries) -> bool:
     names = []
     if args.all_configs:
         names = [n for n in _CONFIG_CHOICES if n != "insensitive"]
-    elif args.emitted or args.shard_plan or args.cost:
+    elif args.emitted or args.cost:
         names = [args.config]
     if names:
         facts = facts_from_source(source)
@@ -1296,18 +1187,13 @@ def _lint_path(source: str, args, entries) -> bool:
         for name in names:
             for abstraction in abstractions:
                 report, compiled = _lint_compiled(facts, name, abstraction)
-                plan = None
-                if args.shard_plan and compiled is not None:
-                    plan = _lint_shard_plan(
-                        compiled.program, compiled.builtins, args, report
-                    )
                 cost_plan = None
                 if args.cost and compiled is not None:
                     cost_plan = _lint_cost(
                         compiled.program, compiled.builtins, report
                     )
                 failed = _lint_report(
-                    report, args, entries, plan, cost_plan
+                    report, args, entries, cost_plan
                 ) or failed
     return failed
 
@@ -1340,15 +1226,6 @@ def cmd_figure6(args) -> int:
             from repro.bench.checkbench import run_check_audit
 
             checks = run_check_audit(scale=args.scale)
-        parallel = None
-        if not args.no_parallel:
-            from repro.bench.parallelbench import (
-                format_parallel, run_parallel_fixpoint,
-            )
-
-            parallel = run_parallel_fixpoint(scale=args.scale)
-            print()
-            print(format_parallel(parallel))
         kernels = None
         if not args.no_kernels:
             from repro.bench.kernelbench import (
@@ -1379,8 +1256,7 @@ def cmd_figure6(args) -> int:
                 table, scale=args.scale, repetitions=args.repetitions,
                 engine="solver", query_latency=query_latency,
                 incremental=incremental, checks=checks,
-                parallel=parallel, kernels=kernels, serving=serving,
-                cost=cost,
+                kernels=kernels, serving=serving, cost=cost,
             ))
         print(f"\nwrote JSON to {args.json}")
     return 0
@@ -1619,20 +1495,6 @@ def build_parser() -> argparse.ArgumentParser:
         " report incremental-vs-scratch timings",
     )
     p_analyze.add_argument(
-        "--shards", type=int, metavar="N",
-        help="run the plan-driven parallel executor over N shards and"
-        " verify exact parity against the sequential engine",
-    )
-    p_analyze.add_argument(
-        "--shard-key", default="heap", choices=("variable", "heap", "method"),
-        help="partition key for --shards / the shard plan (default: heap)",
-    )
-    p_analyze.add_argument(
-        "--in-process", action="store_true",
-        help="with --shards: simulate the shards in one interpreter"
-        " instead of forking worker processes",
-    )
-    p_analyze.add_argument(
         "--magic", metavar="PRED(ARGS)",
         help="demand-driven evaluation: run the magic-sets"
         " transformation for this query (e.g."
@@ -1857,16 +1719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print note-severity diagnostics",
     )
     p_lint.add_argument(
-        "--shard-plan", action="store_true",
-        help="run the shard-safety analysis (DL4xx), print the"
-        " partition/communication plan, and merge its diagnostics"
-        " into the report (lints the emitted --config for source files)",
-    )
-    p_lint.add_argument(
-        "--shard-key", default="heap", choices=("variable", "heap", "method"),
-        help="partition key for --shard-plan (default: heap)",
-    )
-    p_lint.add_argument(
         "--cost", action="store_true",
         help="run the static cost & cardinality analysis (DL5xx),"
         " print the join-order plan, and merge its diagnostics into"
@@ -1887,7 +1739,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--json",
         help="also write machine-readable JSON here"
-        " (schema repro-figure6/8, see docs/api.md)",
+        " (schema repro-figure6/9, see docs/api.md)",
     )
     p_fig.add_argument(
         "--no-query-latency", action="store_true",
@@ -1900,10 +1752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--no-checks", action="store_true",
         help="omit the client-checker precision audit from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-parallel", action="store_true",
-        help="omit the sharded-fixpoint workload from the JSON",
     )
     p_fig.add_argument(
         "--no-kernels", action="store_true",

@@ -434,7 +434,7 @@ def verify_kernel_cert(document: Dict) -> Dict:
     internal inconsistency (counts vs. records, ``closed`` /
     ``certified`` flags vs. their definitions); returns a summary dict
     on success — the same contract as the other self-checking
-    documents (``repro-cost-plan/1``, shard plans, bench reports).
+    documents (``repro-cost-plan/1``, snapshots, bench reports).
     """
     if document.get("schema") != SCHEMA:
         raise ValueError(

@@ -31,10 +31,9 @@ The generated functions have the signature
 ``fn(cols, db, idx, delta, out)``: ``cols`` the flat column-array
 table, ``db`` the per-predicate row dicts (membership + full scans),
 ``idx`` the row-id bucket indices, ``delta`` the frontier's id range,
-``out`` the list head rows are appended to.  A driver — the
-:class:`~repro.datalog.kernel.KernelEngine` or a
-:class:`~repro.datalog.parallel.ParallelEngine` shard — owns the
-semi-naive rounds.
+``out`` the list head rows are appended to.  The driver —
+:class:`~repro.datalog.kernel.KernelEngine` — owns the semi-naive
+rounds.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compile.configurations import parse_tag
 from repro.datalog.ast import Const, Literal, Program, Rule, Var
@@ -137,7 +136,7 @@ class KernelProgram:
 
         The functions close over nothing mutable per run — storage is
         passed per call — so one instantiation can be shared by many
-        drivers (e.g. every shard of a parallel run).
+        drivers.
         """
         if self.builtin_ids and interner is None:
             raise KernelCompilationError(
@@ -468,17 +467,12 @@ class _KernelCompiler:
 def compile_kernels(
     program: Program,
     builtins: Optional[Dict[str, BuiltinFn]] = None,
-    rules: Optional[Sequence[Tuple[int, Rule]]] = None,
 ) -> KernelProgram:
-    """Compile (a subset of) a program's rules to columnar kernels.
+    """Compile a program's non-fact rules to columnar kernels.
 
-    ``rules`` is a sequence of ``(rule_index, rule)`` pairs — by
-    default every non-fact rule with its position in ``program.rules``
-    — so a :class:`~repro.datalog.parallel.ParallelEngine` shard can
-    compile just its plan's shard-local rules while keeping indices
-    aligned with the plan's rule numbering.  Delta variants are
-    generated for every positive, non-builtin IDB body position
-    (variant selection at run time is the driver's job).
+    Each variant keeps its rule's position in ``program.rules``.  Delta
+    variants are generated for every positive, non-builtin IDB body
+    position (variant selection at run time is the driver's job).
 
     The program must be interned (all constants ints); the compiler
     raises :class:`KernelCompilationError` otherwise.
@@ -494,16 +488,11 @@ def compile_kernels(
     builtin_ids: Dict[str, int] = {}
     var_pool: List[Var] = []
 
-    if rules is None:
-        rules = [
-            (index, rule)
-            for index, rule in enumerate(program.rules)
-            if not rule.is_fact()
-        ]
-
     sources: List[str] = []
     variants: List[KernelVariant] = []
-    for rule_index, rule in rules:
+    for rule_index, rule in enumerate(program.rules):
+        if rule.is_fact():
+            continue
         positions: List[Optional[int]] = [None]
         positions += [
             i for i, lit in enumerate(rule.body)
@@ -528,9 +517,9 @@ def compile_kernels(
                 )
             )
 
-    # Every predicate mentioned anywhere gets a db slot and an arity,
-    # whether or not these rules touch it — drivers bind storage for
-    # the whole program once.
+    # Every predicate mentioned anywhere — fact relations included —
+    # gets a db slot and an arity: drivers bind storage for the whole
+    # program once.
     pred_arities: Dict[str, int] = {}
     for rule in program.rules:
         for literal in (rule.head, *rule.body):

@@ -3,7 +3,7 @@
 The paper's Section 7 performance argument is that configuration
 specialization makes every join a fully-indexed equi-join — but *which*
 indices a join can use is decided by body order, and every execution
-surface of this repo (interpreter, compiled back-end, kernels, shards)
+surface of this repo (interpreter, compiled back-end, kernels)
 evaluates rule bodies in fixed left-to-right source order.  This module
 analyzes the program *before* running it:
 
@@ -32,7 +32,7 @@ program rewrite with bit-identical results (tested across the full
 figure1/figure5 configuration sweep).
 
 Diagnostic codes (all advisory — not part of ``lint_program``'s default
-pass list, mirroring the DL4xx shard pass):
+pass list):
 
 ========  ========  ====================================================
 ``DL501``  warning   unbounded join: some positive stored literal is
@@ -660,10 +660,6 @@ class CostPlan:
 
     def reordered_count(self) -> int:
         return sum(1 for entry in self.rules if entry.reordered)
-
-    def rule_weights(self) -> Dict[int, float]:
-        """Rule index → cost weight (for shard-plan skew prediction)."""
-        return {entry.rule_index: entry.cost for entry in self.rules}
 
     def apply(self) -> Program:
         """The cost-ordered program: same rules, permuted bodies.

@@ -13,11 +13,6 @@ The visible result is identical to the other engines': predicate →
 decoded row set for every fact predicate and every rule head (the
 parity sweeps in ``tests/datalog/test_kernel.py`` pin this
 bit-for-bit against the worklist solver and both Datalog backends).
-
-:func:`intern_program` is also the interning front door of the
-:class:`~repro.datalog.parallel.ParallelEngine` — pure-Datalog
-programs are rewritten once, here, to dense small ints; results are
-decoded at the boundary.
 """
 
 from __future__ import annotations
@@ -69,10 +64,9 @@ class KernelEngine:
     """Evaluates a :class:`Program` to fixpoint through fused kernels.
 
     Drop-in result-compatible with :class:`~repro.datalog.engine.Engine`
-    and the compiled backend.  Unlike the parallel engine's opportunistic
-    interning, the kernel backend *always* interns — builtins cross the
-    interner boundary through the decode/encode shims the kernel
-    compiler emits.
+    and the compiled backend.  The kernel backend *always* interns —
+    builtins cross the interner boundary through the decode/encode
+    shims the kernel compiler emits.
     """
 
     def __init__(

@@ -30,7 +30,6 @@ from repro.lint.diagnostics import (
 from repro.lint.cost import check_cost, cost_plan_or_none
 from repro.lint.ircheck import check_ir
 from repro.lint.passes import binding_orders, eliminate_dead_rules, lint_program
-from repro.lint.shards import check_partition, shard_plan_or_none
 
 __all__ = [
     "Diagnostic",
@@ -40,9 +39,7 @@ __all__ = [
     "binding_orders",
     "check_cost",
     "check_ir",
-    "check_partition",
     "cost_plan_or_none",
     "eliminate_dead_rules",
     "lint_program",
-    "shard_plan_or_none",
 ]

@@ -19,8 +19,8 @@ and report one coded diagnostic per finding:
                      closure certifier, :mod:`repro.compile.closure`)
 ========  ========  ====================================================
 
-Like the DL4xx shard pass, this is *advisory about the plan*, not about
-program correctness, so it is not part of the default
+This pass is *advisory about the plan*, not about program
+correctness, so it is not part of the default
 :func:`repro.datalog.lint.lint_program` pass list; the CLI runs it
 under ``repro lint --cost``, and the engines consume the same
 :class:`~repro.datalog.cost.CostPlan` under ``cost_order=True``.

@@ -14,7 +14,6 @@ surface                    what is timed per steady iteration
 ``compiled``               rule bodies code-generated to Python
 ``kernel``                 fused columnar integer kernels
 ``kernel-cost``            kernels compiled from the cost-ordered program
-``parallel-N``             the sharded BSP fixpoint over N shards
 ``incremental``            a stream of single-statement edits (DRed)
 ``serving``                the async gateway under open-loop load
 ========================  ==================================================
@@ -22,9 +21,8 @@ surface                    what is timed per steady iteration
 Each adapter returns a :class:`~repro.perf.result.RunResult` whose
 ``certified`` flag means the timed computation's derived relations were
 verified bit-identical to the sequential worklist solver on the same
-facts (for ``parallel-N`` additionally a clean shard-safety
-certificate; for ``serving`` additionally sampled served answers equal
-the direct service's).  Certification runs outside the timed region.
+facts (for ``serving`` additionally sampled served answers equal the
+direct service's).  Certification runs outside the timed region.
 
 Warmup iterations execute the same work as steady iterations and are
 timed, but only steady samples enter statistics or the gate.
@@ -269,76 +267,6 @@ class KernelCostAdapter(_DatalogAdapter):
         return result
 
 
-class ParallelAdapter(_FactsAdapter):
-    """The sharded BSP fixpoint (kernels inside each shard).
-
-    Certified = bit-identical relations *and* a clean shard-safety
-    certificate: zero cross-shard probes from shard-local rules and
-    zero ownership violations (the DL4xx analysis promise, checked at
-    run time)."""
-
-    def __init__(self, shards: int, processes: bool = False):
-        if shards < 2:
-            raise AdapterError("parallel surface needs >= 2 shards")
-        self.shards = shards
-        self.processes = processes
-        self.surface = "parallel-%d" % shards
-
-    def run(self, definition, configuration, scale, warmup, iterations):
-        from repro.compile.emit import compile_transformer_analysis
-        from repro.datalog.parallel import ParallelEngine
-
-        prep = self._prepare(definition, configuration, scale)
-        result = self._result(definition, configuration, scale)
-        result.phases["factgen"] = prep.factgen_seconds
-
-        compiled, compile_seconds = stopwatch(
-            lambda: compile_transformer_analysis(
-                prep.facts, prep.config.flavour,
-                prep.config.m, prep.config.h,
-            )
-        )
-        result.phases["compile"] = compile_seconds
-
-        last_raw = None
-        stats = None
-
-        def solve():
-            nonlocal last_raw, stats
-            engine = ParallelEngine(
-                compiled.program, compiled.builtins, shards=self.shards,
-                processes=self.processes, kernels=True,
-            )
-            last_raw = engine.run()
-            stats = engine.stats
-
-        result.warmup_seconds, result.steady_seconds = timed_samples(
-            solve, warmup, iterations
-        )
-        result.phases["solve"] = result.best()
-        decoded = compiled.decoder(last_raw)
-        parity = {
-            name: frozenset(decoded.get(name, ()))
-            for name in RELATION_NAMES
-        } == prep.reference
-        clean_certificate = (
-            stats.cross_shard_probes_local == 0
-            and stats.ownership_violations == 0
-        )
-        result.certified = parity and clean_certificate
-        result.metrics = {
-            "shards": self.shards,
-            "processes": self.processes,
-            "rounds": stats.rounds,
-            "rule_evaluations": stats.rule_evaluations,
-            "cross_shard_probes_local": stats.cross_shard_probes_local,
-            "ownership_violations": stats.ownership_violations,
-        }
-        if not clean_certificate:
-            result.notes.append("shard-safety certificate not clean")
-        return result
-
-
 class IncrementalAdapter(_FactsAdapter):
     """Edit churn on a live fixpoint (DRed + semi-naive additions).
 
@@ -506,10 +434,6 @@ class ServingAdapter(_FactsAdapter):
         return result
 
 
-def _parallel_factory(shards: int) -> Callable[[], SuiteAdapter]:
-    return lambda: ParallelAdapter(shards)
-
-
 #: Surface name → adapter factory.  ``adapter_for`` is the lookup.
 ADAPTERS: Dict[str, Callable[[], SuiteAdapter]] = {
     "worklist": WorklistAdapter,
@@ -517,8 +441,6 @@ ADAPTERS: Dict[str, Callable[[], SuiteAdapter]] = {
     "compiled": CompiledAdapter,
     "kernel": KernelAdapter,
     "kernel-cost": KernelCostAdapter,
-    "parallel-2": _parallel_factory(2),
-    "parallel-4": _parallel_factory(4),
     "incremental": IncrementalAdapter,
     "serving": ServingAdapter,
 }

@@ -16,8 +16,8 @@ to stress the backends differently:
   that serialise the fixpoint, the worst case for the columnar kernel
   backend's per-round fusion and the best case for semi-naive deltas;
 * ``fanout`` — wide dispatch (a 12-subclass hierarchy reached through
-  containers): a broad, shallow call graph whose tuples spread across
-  shards, stressing the parallel backend's exchange phase.
+  containers): a broad, shallow call graph, where cost-chosen join
+  orders pay off most.
 
 Every definition is deterministic: same name + scale ⇒ byte-identical
 fact set (enforced by ``tests/perf/test_determinism.py`` via
@@ -154,8 +154,8 @@ def _build_default_registry() -> BenchmarkRegistry:
     registry.register(BenchmarkDef(
         name="fanout",
         version=1,
-        description="wide dispatch (12-subclass hierarchy): shard-exchange "
-                    "stress for the parallel backend",
+        description="wide dispatch (12-subclass hierarchy): broad, "
+                    "shallow call graph",
         build_spec=_fanout_spec,
     ))
     return registry

@@ -5,8 +5,8 @@ baseline pins: a list of (benchmark, surface, configuration, scale)
 cells with a warmup/iteration discipline per cell.  Three suites ship:
 
 * ``smoke`` — the CI gate: tiny scale, every distinct surface family
-  (reference worklist, kernel backend, 2-shard parallel, incremental
-  churn, serving gateway) across three corpus entries, seconds to run;
+  (reference worklist, kernel backend, incremental churn, serving
+  gateway) across three corpus entries, seconds to run;
 * ``micro`` — the smallest possible document (one benchmark, two
   surfaces), used by the test suite;
 * ``corpus`` — the full seven-analogue grid on the solver surfaces, a
@@ -69,8 +69,6 @@ def _smoke_entries() -> Tuple[SuiteEntry, ...]:
         # fanout is the entry where DL5xx cost ordering wins and keeps
         # winning as scale grows — the gate pins that it stays certified.
         SuiteEntry("fanout", "kernel-cost"),
-        SuiteEntry("bloat", "parallel-2"),
-        SuiteEntry("fanout", "parallel-2"),
         SuiteEntry("bloat", "incremental"),
         SuiteEntry("bloat", "serving", warmup=0, iterations=1),
     ]

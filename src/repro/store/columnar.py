@@ -11,21 +11,18 @@ tuples, so the kernel compiler (:mod:`repro.compile.kernels`) can emit
 straight-line loops that read ``column[row_id]`` without materializing
 tuples in the hot path.
 
-The semi-naive ``stable``/``delta``/``pending`` lifecycle of
+The semi-naive stable/delta/pending lifecycle of
 :class:`repro.store.relation.Relation` is preserved, but becomes three
-*contiguous id ranges* — rows are append-only (no :meth:`retract`),
-so ``promote()`` is two mark advances instead of a list swap:
+*contiguous id ranges* — rows are append-only (no retraction), so
+``promote()`` is two mark advances instead of a list swap:
 
     ids [0, stable_end)      stable
     ids [stable_end, delta_end)   delta (the current frontier)
     ids [delta_end, len)     pending
 
 Row *tuples* still exist exactly once, as the keys of the dedup dict
-(``rows``) and the shared id → row spine; ``delta``/``pending``/
-``lookup`` hand them out so the interpreted join paths (the
-:class:`~repro.datalog.parallel.ParallelEngine` exchange/broadcast
-rules) run unchanged over a columnar store.  Only the kernels touch
-the arrays.
+(``rows``, which the kernels probe for membership and scan in full)
+and the shared id → row spine; the kernels read the arrays.
 
 All values must be ``int`` — callers intern first (see
 ``repro.datalog.kernel.intern_program``).
@@ -34,10 +31,10 @@ All values must be ``int`` — callers intern first (see
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.store.interner import Interner
-from repro.store.relation import Relation, Row
+from repro.store.relation import Row
 from repro.store.stats import RelationCounters
 
 #: Index keys: a bare int for single-column indices (probed without a
@@ -50,7 +47,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "name", "arity", "rows", "columns", "counters", "track_delta",
-        "_row_of", "_indices", "_stable_end", "_delta_end", "_delta_cache",
+        "_row_of", "_indices", "_stable_end", "_delta_end",
     )
 
     def __init__(
@@ -77,7 +74,6 @@ class ColumnarRelation:
         self._indices: Dict[Tuple[int, ...], Dict[IndexKey, List[int]]] = {}
         self._stable_end = 0
         self._delta_end = 0
-        self._delta_cache: Optional[List[Row]] = None
 
     # -- basic container protocol -----------------------------------------
 
@@ -161,43 +157,11 @@ class ColumnarRelation:
             self._stable_end = self._delta_end = rid + 1
         return True
 
-    def add_all(self, rows: Iterable[Row]) -> int:
-        """Insert many rows; returns the number actually new."""
-        return sum(1 for row in rows if self.add(row))
-
-    def retract(self, row: Row) -> bool:
-        raise NotImplementedError(
-            "columnar relations are append-only; retraction (DRed) runs"
-            " on repro.store.relation.Relation"
-        )
-
     # -- semi-naive lifecycle ----------------------------------------------
-
-    @property
-    def delta(self) -> List[Row]:
-        """The current frontier as row tuples (interpreted join paths)."""
-        if self._delta_cache is None:
-            self._delta_cache = self._row_of[self._stable_end:self._delta_end]
-        return self._delta_cache
-
-    @property
-    def delta_ids(self) -> range:
-        """The current frontier as row ids (the kernel scan source)."""
-        return range(self._stable_end, self._delta_end)
-
-    @property
-    def pending(self) -> List[Row]:
-        """Rows inserted since the frontier was cut, as row tuples."""
-        return self._row_of[self._delta_end:]
 
     @property
     def pending_ids(self) -> range:
         return range(self._delta_end, len(self._row_of))
-
-    @property
-    def stable(self) -> Set[Row]:
-        """Rows that are neither delta nor pending."""
-        return set(self._row_of[:self._stable_end])
 
     def promote(self) -> range:
         """Advance the lifecycle; returns the new frontier's id range.
@@ -207,7 +171,6 @@ class ColumnarRelation:
         """
         self._stable_end = self._delta_end
         self._delta_end = len(self._row_of)
-        self._delta_cache = None
         return range(self._stable_end, self._delta_end)
 
     # -- lookup ------------------------------------------------------------
@@ -251,42 +214,13 @@ class ColumnarRelation:
         """The live bucket dict (kernels inline ``.get`` probes on it)."""
         return self.ensure_index(positions)
 
-    def lookup(self, positions: Tuple[int, ...], key: Tuple) -> List[Row]:
-        """Rows whose projection onto ``positions`` equals ``key``.
-
-        Same normalization contract as :meth:`Relation.lookup`; rows
-        are materialized from the id buckets.
-        """
-        self.counters.probes += 1
-        if not positions:
-            return list(self._row_of)
-        normalized = Relation._normalize(positions, key)
-        if normalized is None:
-            return []
-        positions, key = normalized
-        index = self.ensure_index(positions)
-        probe: IndexKey = key[0] if len(positions) == 1 else key
-        ids = index.get(probe)
-        if not ids:
-            return []
-        row_of = self._row_of
-        return [row_of[i] for i in ids]
-
     # -- introspection -------------------------------------------------------
-
-    def row_at(self, rid: int) -> Row:
-        """The row tuple with id ``rid`` (decode side of the kernels)."""
-        return self._row_of[rid]
 
     def index_count(self) -> int:
         return len(self._indices)
 
     def index_entries(self) -> int:
         return sum(len(index) for index in self._indices.values())
-
-    def snapshot(self) -> Set[Row]:
-        """A copy of the current row set."""
-        return set(self._row_of)
 
 
 class ColumnarStore:

@@ -2,8 +2,7 @@
 
 ``run_cost_block`` prices the DL5xx planner end to end on one corpus
 entry: source-order engine vs cost-ordered engine vs cost-ordered
-kernels, predicted vs measured shard skew, and the closure
-certificate.  The tests pin the block's shape, its parity discipline
+kernels, and the closure certificate.  The tests pin the block's shape, its parity discipline
 (``certified`` requires bit-identical results on every surface plus a
 clean certificate), and the text rendering.
 """
@@ -19,7 +18,7 @@ from repro.bench.costbench import (
 
 @pytest.fixture(scope="module")
 def block():
-    return run_cost_block(scale=1, shards=2)
+    return run_cost_block(scale=1)
 
 
 class TestRunCostBlock:
@@ -31,7 +30,6 @@ class TestRunCostBlock:
     def test_every_surface_has_parity(self, block):
         assert block["cost_ordered"]["parity"] is True
         assert block["cost_ordered_kernel"]["parity"] is True
-        assert block["skew"]["parity"] is True
 
     def test_plan_summary_shape(self, block):
         plan = block["plan"]
@@ -48,12 +46,6 @@ class TestRunCostBlock:
             kernel["compile_seconds"] + kernel["solve_seconds"]
         )
 
-    def test_skew_prediction_present(self, block):
-        skew = block["skew"]
-        assert skew["shards"] == 2
-        assert skew["predicted"] is None or skew["predicted"] >= 1.0
-        assert skew["measured"] >= 1.0
-
     def test_closure_certificate_clean(self, block):
         closure = block["closure"]
         assert closure["certified"] is True
@@ -68,6 +60,5 @@ class TestFormatCost:
         assert "cost-ordered evaluation" in text
         assert "source-order engine" in text
         assert "cost-ordered kernels" in text
-        assert "skew over 2 shards" in text
         assert "closure:" in text
         assert "certificate: ok" in text

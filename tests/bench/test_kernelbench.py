@@ -4,7 +4,7 @@ from repro.bench.kernelbench import format_kernels, run_kernel_block
 
 
 def test_block_shape_parity_and_certificate():
-    block = run_kernel_block(scale=1, shards=2, processes=False)
+    block = run_kernel_block(scale=1)
     assert block["benchmark"] == "bloat"
     assert block["configuration"] == "2-object+H"
     assert block["scale"] == 1
@@ -20,29 +20,20 @@ def test_block_shape_parity_and_certificate():
     assert kernel["rounds"] > 0
     assert kernel["facts_derived"] > 0
 
-    sharded = block["sharded"]
-    assert sharded["shards"] == 2
-    assert sharded["backend"] == "inprocess"
-    assert sharded["parity"] is True
-    assert sharded["kernel_rule_evaluations"] > 0
-    assert sharded["cross_shard_probes_local"] == 0
-    assert sharded["ownership_violations"] == 0
-
     assert block["certified"] is True
 
 
 def test_format_kernels_renders_the_block():
-    block = run_kernel_block(scale=1, shards=2, processes=False)
+    block = run_kernel_block(scale=1)
     text = format_kernels(block)
     assert "kernel backend (bloat/2-object+H, scale=1)" in text
     assert "generic engine" in text
     assert "compile" in text and "solve" in text
-    assert "2 shards + kernels" in text
     assert "certificate: ok" in text
 
 
 def test_block_is_json_serializable():
     import json
 
-    block = run_kernel_block(scale=1, shards=2, processes=False)
+    block = run_kernel_block(scale=1)
     assert json.loads(json.dumps(block)) == block

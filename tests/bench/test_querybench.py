@@ -52,7 +52,7 @@ def test_run_query_latency_one_benchmark():
 
 
 def test_figure6_json_carries_query_latency():
-    assert JSON_SCHEMA == "repro-figure6/8"
+    assert JSON_SCHEMA == "repro-figure6/9"
 
     class _Table:
         cells = ()
@@ -68,7 +68,7 @@ def test_figure6_json_carries_query_latency():
     audit = {"schema": "repro-check-audit/1", "benchmarks": {}}
     document = figure6_json(_Table(), query_latency=payload,
                             incremental=churn, checks=audit)
-    assert document["schema"] == "repro-figure6/8"
+    assert document["schema"] == "repro-figure6/9"
     assert document["query_latency"] == payload
     assert document["incremental"] == churn
     assert document["checks"] == audit

@@ -2,9 +2,8 @@
 
 Covers the lowering contract in isolation: configuration-aware column
 layouts, variant enumeration (one full kernel plus one per positive
-IDB body position), the interning precondition, subset compilation
-for shard plans, and the behaviour of instantiated kernel functions
-on hand-built columnar storage.
+IDB body position), the interning precondition, and the behaviour of
+instantiated kernel functions on hand-built columnar storage.
 """
 
 import pytest
@@ -108,18 +107,6 @@ class TestVariantEnumeration:
         kernels = compile_kernels(program)
         assert {v.rule_index for v in kernels.variants} == {1}
 
-    def test_rules_subset_keeps_plan_numbering(self):
-        program, _ = interned(
-            "p(X) :- e(X).\n"
-            "q(X) :- p(X).\n"
-            "r(X) :- q(X).\n"
-        )
-        subset = [(2, program.rules[2])]
-        kernels = compile_kernels(program, rules=subset)
-        assert {v.rule_index for v in kernels.variants} == {2}
-        # Storage tables still cover the whole program.
-        assert set(kernels.pred_ids) == {"e", "p", "q", "r"}
-
     def test_uninterned_constants_are_rejected(self):
         program = Program()
         program.rules.append(
@@ -165,12 +152,12 @@ class TestInstantiatedKernels:
         relations["e"].load((sym["b"], sym["c"]))
         p = relations["p"]
         p.add((sym["b"], sym["d"]))
-        p.promote()  # (b, d) is the frontier
+        frontier = p.promote()  # (b, d) is the frontier
         p.add((sym["c"], sym["d"]))  # pending: not visible to delta scan
 
         out = []
         variant = kernels.variants_by_key[(0, 1)]
-        functions[variant.name](cols, db, idx, p.delta_ids, out)
+        functions[variant.name](cols, db, idx, frontier, out)
         assert set(out) == {(sym["a"], sym["d"])}
 
     def test_builtin_kernel_crosses_the_interner_boundary(self):

@@ -314,7 +314,7 @@ class TestDocument:
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError, match="not a cost plan"):
-            verify_cost_plan({"schema": "repro-shard-plan/1"})
+            verify_cost_plan({"schema": "repro-lint/1"})
 
     def test_inconsistent_counts_rejected(self):
         document = self._plan().to_json()

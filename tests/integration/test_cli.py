@@ -151,15 +151,15 @@ class TestFigure6Command:
         assert main([
             "figure6", "--scale", "1", "--json", str(out_file),
             "--no-query-latency", "--no-incremental", "--no-checks",
-            "--no-parallel", "--no-kernels", "--no-serving",
+            "--no-kernels", "--no-serving",
         ]) == 0
         assert "wrote JSON" in capsys.readouterr().out
         data = json.loads(out_file.read_text())
-        assert data["schema"] == "repro-figure6/8"
+        assert data["schema"] == "repro-figure6/9"
         assert data["query_latency"] is None  # suppressed by the flag
         assert data["incremental"] is None  # suppressed by the flag
         assert data["checks"] is None  # suppressed by the flag
-        assert data["parallel"] is None  # suppressed by the flag
+        assert "parallel" not in data  # removed in /9
         assert data["kernels"] is None  # suppressed by the flag
         assert data["serving"] is None  # suppressed by the flag
         assert data["scale"] == 1
@@ -581,31 +581,47 @@ class TestModuleEntryPoint:
             assert command in completed.stdout
 
 
-class TestAnalyzeShards:
-    def test_shards_parity_and_certificate(self, figure1_file, capsys):
-        assert main([
-            "analyze", figure1_file, "--config", "1-call",
-            "--shards", "4", "--in-process",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "shard plan (key=heap):" in out
-        assert "parity with sequential engine: ok" in out
-        assert "cross-shard probes 0" in out
-        assert "ownership violations 0" in out
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "MISSING"],
+        ["analyze", "--diff", "MISSING", "MISSING"],
+        ["check", "MISSING"],
+        ["emit", "MISSING"],
+        ["query", "MISSING", "--var", "T.main/x"],
+        ["serve", "MISSING"],
+        ["facts", "MISSING", "--out", "OUT"],
+        ["lint", "MISSING"],
+    ], ids=["analyze", "analyze-diff", "check", "emit", "query", "serve",
+            "facts", "lint"])
+    def test_one_stderr_line_and_exit_1(self, argv, tmp_path):
+        import subprocess
+        import sys
 
-    def test_shards_prints_points_to_sets(self, figure1_file, capsys):
-        assert main([
-            "analyze", figure1_file, "--config", "1-call",
-            "--shards", "2", "--in-process", "--var", "T.main/x1",
-        ]) == 0
-        assert "T.main/x1 -> {h1}" in capsys.readouterr().out
+        missing = str(tmp_path / "missing.java")
+        paths = {"MISSING": missing, "OUT": str(tmp_path / "out")}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + [paths.get(arg, arg) for arg in argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.splitlines() == [
+            f"repro {argv[0]}: cannot read {missing}:"
+            " No such file or directory"
+        ]
 
-    def test_shard_key_is_selectable(self, figure1_file, capsys):
-        assert main([
-            "analyze", figure1_file, "--config", "1-call",
-            "--shards", "2", "--in-process", "--shard-key", "variable",
-        ]) == 0
-        assert "shard plan (key=variable):" in capsys.readouterr().out
+    def test_undecodable_file_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "binary.java"
+        path.write_bytes(b"\xff\xfe class T {}")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(path)])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"repro analyze: cannot read {path}: 'utf-8' codec can't"
+            " decode byte 0xff in position 0: invalid start byte"
+        ]
 
 
 class TestAnalyzeBackend:
@@ -661,39 +677,6 @@ class TestAnalyzeBackend:
         )
 
 
-class TestLintShardPlan:
-    @pytest.fixture()
-    def datalog_file(self, tmp_path):
-        path = tmp_path / "pointer.dl"
-        path.write_text(
-            "pts(V, H) :- assign_new(V, H, M).\n"
-            "pts(V, H) :- assign(V, W), pts(W, H).\n"
-        )
-        return str(path)
-
-    def test_plan_report_for_dl_file(self, datalog_file, capsys):
-        assert main(["lint", datalog_file, "--shard-plan", "-v"]) == 0
-        out = capsys.readouterr().out
-        assert "shard plan (key=heap):" in out
-        assert "local" in out and "broadcast" in out
-
-    def test_plan_for_emitted_configuration(self, figure1_file, capsys):
-        assert main([
-            "lint", figure1_file, "--shard-plan", "--config", "1-call",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "shard plan (key=heap):" in out
-
-    def test_dl4xx_diagnostics_reach_the_report(self, datalog_file, capsys):
-        assert main([
-            "lint", datalog_file, "--shard-plan", "--shard-key",
-            "variable", "-v",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "DL402" in out  # pts probed off-anchor forces a replica
-        assert "DL403" in out  # ... and pts is recursive
-
-
 class TestLintJson:
     def test_document_shape_and_sorting(self, figure1_file, tmp_path,
                                          capsys):
@@ -701,7 +684,7 @@ class TestLintJson:
 
         out_path = tmp_path / "lint.json"
         assert main([
-            "lint", figure1_file, "--shard-plan", "--config", "1-call",
+            "lint", figure1_file, "--cost", "--config", "1-call",
             "--json", str(out_path),
         ]) == 0
         document = json.loads(out_path.read_text())
@@ -710,8 +693,9 @@ class TestLintJson:
         subjects = document["subjects"]
         assert [s["subject"] for s in subjects][0] == figure1_file
         emitted = subjects[1]
-        assert emitted["shard_plan"]["schema"] == "repro-shard-plan/1"
+        assert emitted["cost_plan"]["schema"] == "repro-cost-plan/1"
         diagnostics = emitted["diagnostics"]
+        assert diagnostics
         keys = [
             (d["line"] or 0, d["column"] or 0, d["code"], d["message"])
             for d in diagnostics
@@ -723,7 +707,7 @@ class TestLintJson:
         second = tmp_path / "b.json"
         for path in (first, second):
             assert main([
-                "lint", figure1_file, "--shard-plan", "--config",
+                "lint", figure1_file, "--cost", "--config",
                 "1-call", "--json", str(path),
             ]) == 0
         capsys.readouterr()

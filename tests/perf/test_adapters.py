@@ -12,7 +12,6 @@ from repro.perf.adapters import (
     ADAPTERS,
     AdapterError,
     IncrementalAdapter,
-    ParallelAdapter,
     adapter_for,
     relation_rows,
 )
@@ -41,10 +40,6 @@ class TestLookup:
     def test_unknown_surface(self):
         with pytest.raises(AdapterError, match="unknown surface"):
             adapter_for("gpu")
-
-    def test_parallel_needs_two_shards(self):
-        with pytest.raises(AdapterError, match=">= 2 shards"):
-            ParallelAdapter(1)
 
 
 class TestWorklist(object):
@@ -77,15 +72,6 @@ class TestKernelCost:
         # Planning is charged to the compile phase, not the solve.
         assert result.phases["compile"] > 0
         assert result.metrics["reordered_rules"] >= 0
-
-
-class TestParallel:
-    def test_two_shards_certified(self, luindex):
-        result = _run(ParallelAdapter(2), luindex)
-        assert result.surface == "parallel-2"
-        assert result.certified is True
-        assert result.metrics["cross_shard_probes_local"] == 0
-        assert result.metrics["ownership_violations"] == 0
 
 
 class TestIncremental:

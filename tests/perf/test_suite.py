@@ -13,11 +13,9 @@ class TestSuiteShapes:
     def test_smoke_covers_the_acceptance_surfaces(self):
         surfaces = set(SUITES["smoke"].surfaces())
         # The acceptance floor: kernel backend (source and cost order),
-        # parallel shards, incremental churn, and serving, plus the
-        # reference.
+        # incremental churn, and serving, plus the reference.
         assert {
-            "worklist", "kernel", "kernel-cost", "parallel-2",
-            "incremental", "serving",
+            "worklist", "kernel", "kernel-cost", "incremental", "serving",
         } <= surfaces
 
     def test_smoke_includes_the_new_corpus_entries(self):

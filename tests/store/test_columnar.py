@@ -1,10 +1,9 @@
 """Tests for the columnar relation store.
 
 The contract under test: :class:`ColumnarRelation` is
-:class:`Relation`'s lifecycle (stable/delta/pending, promote, lookup)
-re-expressed over per-attribute int arrays and row-id bucket indices,
-so the kernel backend and the interpreted join paths can share one
-store without either noticing the other.
+:class:`Relation`'s lifecycle (stable/delta/pending, promote)
+re-expressed as row-id ranges over per-attribute int arrays, with
+row-id bucket indices for the kernel backend's probes.
 """
 
 import pytest
@@ -39,8 +38,6 @@ class TestInsertion:
         assert list(rel.columns[0]) == [1, 4]
         assert list(rel.columns[1]) == [2, 5]
         assert list(rel.columns[2]) == [3, 6]
-        assert rel.row_at(0) == (1, 2, 3)
-        assert rel.row_at(1) == (4, 5, 6)
 
     def test_arity_mismatch_rejected(self):
         rel = ColumnarRelation("pts", 2)
@@ -56,11 +53,13 @@ class TestInsertion:
         with pytest.raises(ValueError, match="declared arity"):
             ColumnarRelation("pts", None)
 
-    def test_retract_is_not_supported(self):
-        rel = ColumnarRelation("pts", 1)
-        rel.add((1,))
-        with pytest.raises(NotImplementedError):
-            rel.retract((1,))
+
+def rows_of(relation, ids):
+    """The row tuples of an id range, read from the column arrays the
+    way the kernels read them."""
+    return sorted(
+        tuple(column[rid] for column in relation.columns) for rid in ids
+    )
 
 
 class TestLifecycle:
@@ -68,38 +67,35 @@ class TestLifecycle:
         rel = ColumnarRelation("p", 1)
         rel.add((1,))
         rel.add((2,))
-        assert rel.pending == [(1,), (2,)]
-        assert rel.delta == [] and rel.stable == set()
+        assert rel.pending_ids == range(0, 2)
         ids = rel.promote()
         assert ids == range(0, 2) and bool(ids)
-        assert rel.delta == [(1,), (2,)]
-        assert rel.delta_ids == range(0, 2)
+        assert not rel.pending_ids
         rel.add((3,))
-        assert rel.pending == [(3,)] and rel.pending_ids == range(2, 3)
-        rel.promote()
-        assert rel.stable == {(1,), (2,)}
-        assert rel.delta == [(3,)]
+        assert rel.pending_ids == range(2, 3)
+        assert rel.promote() == range(2, 3)
         assert not rel.promote()  # empty frontier is falsy
 
     def test_load_is_stable_before_first_promote(self):
         rel = ColumnarRelation("p", 1)
         rel.load((1,))
-        assert rel.stable == {(1,)}
-        assert rel.pending == [] and rel.delta == []
+        assert not rel.pending_ids
+        assert rel.promote() == range(1, 1)  # no frontier: already stable
 
     def test_late_load_joins_pending(self):
         rel = ColumnarRelation("p", 1)
         rel.add((1,))
         rel.promote()
         rel.load((2,))
-        assert rel.pending == [(2,)]
+        assert rel.pending_ids == range(1, 2)
+        assert rows_of(rel, rel.pending_ids) == [(2,)]
 
     def test_untracked_rows_stabilize_immediately(self):
         rel = ColumnarRelation("p", 1, track_delta=False)
         rel.add((1,))
         rel.add((2,))
-        assert rel.stable == {(1,), (2,)}
-        assert rel.pending == []
+        assert not rel.pending_ids
+        assert rel.promote() == range(2, 2)
 
     def test_lifecycle_matches_row_relation(self):
         rows = [(i % 3, i % 2) for i in range(8)]
@@ -108,11 +104,15 @@ class TestLifecycle:
         for batch in (rows[:3], rows[3:6], rows[6:]):
             for row in batch:
                 assert columnar.add(row) == classic.add(row)
-            assert sorted(columnar.pending) == sorted(classic.pending)
-            columnar.promote()
+            assert rows_of(columnar, columnar.pending_ids) == sorted(
+                classic.pending
+            )
+            delta = columnar.promote()
             classic.promote()
-            assert sorted(columnar.delta) == sorted(classic.delta)
-            assert columnar.stable == classic.stable
+            assert rows_of(columnar, delta) == sorted(classic.delta)
+            assert rows_of(columnar, range(delta.start)) == sorted(
+                classic.stable
+            )
 
 
 class TestIndexing:
@@ -144,31 +144,6 @@ class TestIndexing:
         rel = ColumnarRelation("p", 2)
         with pytest.raises(ValueError, match="out of range"):
             rel.ensure_index((0, 5))
-
-    def test_lookup_matches_row_relation(self):
-        rows = [(i % 3, i % 4, i % 2) for i in range(12)]
-        columnar = ColumnarRelation("p", 3)
-        classic = Relation("p", 3)
-        for row in rows:
-            columnar.add(row)
-            classic.add(row)
-        for positions, key in [
-            ((0,), (1,)),
-            ((1, 2), (2, 0)),
-            ((0, 2), (0, 0)),
-            ((0,), (99,)),
-            ((), ()),
-        ]:
-            assert sorted(columnar.lookup(positions, key)) == sorted(
-                classic.lookup(positions, key)
-            )
-
-    def test_lookup_counts_probes(self):
-        rel = ColumnarRelation("p", 1)
-        rel.add((1,))
-        rel.lookup((0,), (1,))
-        rel.lookup((0,), (2,))
-        assert rel.counters.probes == 2
 
 
 class TestStore:
@@ -215,7 +190,9 @@ class TestSerialize:
         )
         decoded = {fresh_run.decode_row(row) for row in rebuilt.rows}
         assert decoded == set(rows)
-        assert rebuilt.stable == set(rebuilt.rows)  # loaded as settled
+        # Loaded as settled: no pending rows and no frontier to cut.
+        assert not rebuilt.pending_ids
+        assert not rebuilt.promote()
 
     def test_payload_byte_identical_to_row_store(self):
         rows = [("v2", "h1"), ("v1", "h1")]
