@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.core.analysis import analyze
 from repro.core.config import config_by_name
@@ -62,26 +62,54 @@ _ABSTRACTIONS = {
 }
 
 
+def _input_error(command: str, message: str) -> NoReturn:
+    """End the run over bad input: one ``repro COMMAND: MESSAGE`` line
+    on stderr and exit status 1, not a traceback."""
+    print(f"repro {command}: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _read_input(path: str, command: str) -> str:
-    """The text of ``path``.  An unreadable file ends the run with one
-    ``repro COMMAND: cannot read PATH: REASON`` line on stderr and exit
-    status 1, not a traceback."""
+    """The text of ``path``; an unreadable file ends the run with
+    ``repro COMMAND: cannot read PATH: REASON``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as error:
         reason = getattr(error, "strerror", None) or error
-        print(f"repro {command}: cannot read {path}: {reason}",
-              file=sys.stderr)
-        raise SystemExit(1) from None
+        _input_error(command, f"cannot read {path}: {reason}")
+
+
+def _read_facts_dir(directory: str, command: str):
+    """The fact set in ``directory``.  A missing or malformed directory
+    ends the run with ``repro COMMAND: cannot read DIR: REASON``, one
+    without a main method with ``repro COMMAND: DIR: fact set has no
+    main method``."""
+    import errno
+    import os
+
+    from repro.frontend.doopfacts import DoopFactsError, read_facts
+
+    if not os.path.isdir(directory):
+        missing = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        _input_error(
+            command, f"cannot read {directory}: {os.strerror(missing)}"
+        )
+    try:
+        facts = read_facts(directory)
+    except (OSError, UnicodeDecodeError, DoopFactsError) as error:
+        reason = getattr(error, "strerror", None) or error
+        _input_error(command, f"cannot read {directory}: {reason}")
+    if facts.main_method is None:
+        _input_error(command, f"{directory}: fact set has no main method")
+    return facts
 
 
 def _load_facts(args):
-    from repro.frontend.doopfacts import read_facts
     from repro.frontend.factgen import facts_from_source
 
     if args.facts_dir:
-        return read_facts(args.facts_dir)
+        return _read_facts_dir(args.facts_dir, args.command)
     if not args.source:
         raise SystemExit("error: provide a source file or --facts-dir")
     return facts_from_source(_read_input(args.source, args.command))
@@ -393,7 +421,20 @@ def _analyze_backend(args) -> int:
         f" ({compiled.description})"
     )
     if args.stats:
-        print(_store_stats_table(result.engine.store_stats()))
+        engine = result.engine
+        if args.backend == "kernel":
+            live = len(engine.program.rules)
+            print(
+                "kernels: "
+                + ("cache hit" if engine.compile_cached else "compiled")
+                + f", {live} of {live + len(engine.dead_rules)} emitted"
+                " rules live"
+            )
+        # The columnar store's kernels probe their bucket dicts inline
+        # and count no probes.
+        print(_store_stats_table(
+            engine.store_stats(), probes=args.backend != "kernel"
+        ))
 
     mismatches = [
         name
@@ -410,17 +451,19 @@ def _analyze_backend(args) -> int:
     return 0
 
 
-def _store_stats_table(stats) -> str:
-    """Per-relation store counters as an aligned text table."""
+def _store_stats_table(stats, probes: bool = True) -> str:
+    """Per-relation store counters as an aligned text table; ``-`` in
+    the probes column of a store that does not count probes."""
     header = (
         f"\n{'relation':10s}{'rows':>8s}{'inserts':>9s}{'dedup':>8s}"
         f"{'probes':>9s}{'indexes':>9s}{'entries':>9s}"
     )
     lines = [header]
     for name, row in sorted(stats.items()):
+        probed = str(row["probes"]) if probes else "-"
         lines.append(
             f"{name:10s}{row['rows']:>8d}{row['inserts']:>9d}"
-            f"{row['dedup_hits']:>8d}{row['probes']:>9d}"
+            f"{row['dedup_hits']:>8d}{probed:>9s}"
             f"{row['indexes']:>9d}{row['index_entries']:>9d}"
         )
     return "\n".join(lines)

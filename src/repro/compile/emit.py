@@ -19,10 +19,16 @@ is a plain Datalog program"), targeting our engine instead of LLVM:
 Every compiled analysis decodes its engine results back into the same
 ``(entity…, TransformerString | pair)`` fact tuples the worklist solver
 produces, so the two execution paths can be compared fact-for-fact.
+
+An emitter's rules depend on (flavour, m, h) alone, so each rule set
+is built and linted once per process (:func:`_rule_set`); only the
+entry fact, the input facts and the lint passes that read facts are
+per program.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Set, Tuple
 
@@ -72,7 +78,9 @@ class CompiledAnalysis:
         emits many — e.g. rules consuming a ``call__xx`` shape no rule
         of this flavour ever derives), shrinking the rule set the
         semi-naive loop re-evaluates each round.  Results are identical
-        by construction (tested).
+        by construction (tested).  The kernel backend always does this
+        itself, but only with ``eliminate_dead=True`` do the dead rules'
+        heads drop out of the raw results.
 
         ``cost_order=True`` evaluates the cost-chosen body orders of
         :mod:`repro.datalog.cost` instead of the emitted source order —
@@ -153,7 +161,52 @@ def _install_input_facts(program: Program, facts: FactSet) -> None:
         program.add_facts("invocation_parent", facts.invocation_parent.items())
 
 
-def _lint_emitted(analysis: "CompiledAnalysis") -> "CompiledAnalysis":
+#: Emitted rule sets one process keeps: one per (emitter, flavour, m, h).
+RULE_SET_CACHE_SIZE = 32
+
+#: The lint passes every emission runs, in report order.  Those in
+#: :data:`_RULE_PASSES` read rules alone and run once per rule set; the
+#: others read the installed facts too and run on every program.
+_EMIT_PASSES = (
+    "safety", "schema", "configurations", "sorts", "stratification",
+)
+_RULE_PASSES = ("safety", "sorts", "stratification")
+
+
+@dataclass(frozen=True)
+class _RuleSet:
+    """One emitter's rules at one (flavour, m, h), and what the
+    :data:`_RULE_PASSES` found in them, as (pass name, diagnostics)
+    pairs."""
+
+    rules: Tuple[Rule, ...]
+    findings: Tuple[Tuple[str, Tuple], ...]
+
+
+@functools.lru_cache(maxsize=RULE_SET_CACHE_SIZE)
+def _rule_set(emit_rules: Callable, flavour: Flavour, m: int, h: int
+              ) -> _RuleSet:
+    """The rules ``emit_rules(flavour, m, h)`` returns, linted, built
+    once per process.  ``emit_rules`` also returns the builtins whose
+    signatures the lint checks the rules against; neither depends on a
+    program, so the entry serves every program emitted at (flavour, m,
+    h).  Rules are immutable; callers copy the tuple into their own
+    list."""
+    from repro.datalog.lint import lint_program
+
+    rules, builtins = emit_rules(flavour, m, h)
+    program = Program(rules=list(rules))
+    findings = tuple(
+        (name, tuple(lint_program(program, builtins=builtins,
+                                  passes=(name,))))
+        for name in _RULE_PASSES
+    )
+    return _RuleSet(tuple(rules), findings)
+
+
+def _lint_emitted(
+    analysis: "CompiledAnalysis", rule_set: _RuleSet
+) -> "CompiledAnalysis":
     """Statically verify an emitted configuration before returning it.
 
     Every instantiation path runs through here, so a specialization bug
@@ -162,17 +215,23 @@ def _lint_emitted(analysis: "CompiledAnalysis") -> "CompiledAnalysis":
     a crash — or a silently wrong points-to set — during evaluation.
     Error diagnostics only; warnings (e.g. rules dead under this
     particular fact set) are expected and left to ``repro lint``.
-    """
-    from repro.datalog.lint import lint_program
 
-    lint_program(
-        analysis.program,
-        builtins=analysis.builtins,
-        subject=analysis.description,
-        passes=(
-            "safety", "schema", "configurations", "sorts", "stratification",
-        ),
-    ).raise_if_errors()
+    The rule-only passes' findings come from ``rule_set``: the entry
+    fact a program adds is ground, so it can make no safety or
+    stratification error (and sorts only ever warn).
+    """
+    from repro.datalog.lint import LintReport, lint_program
+
+    findings = dict(rule_set.findings)
+    report = LintReport(subject=analysis.description)
+    for name in _EMIT_PASSES:
+        if name in findings:
+            report.extend(findings[name])
+        else:
+            report.extend(lint_program(
+                analysis.program, builtins=analysis.builtins, passes=(name,)
+            ))
+    report.raise_if_errors()
     return analysis
 
 
@@ -180,16 +239,21 @@ def _lint_emitted(analysis: "CompiledAnalysis") -> "CompiledAnalysis":
 # Transformer strings, configuration-specialized (the Section 7 technique).
 # ---------------------------------------------------------------------------
 
+def _transformer_rules(flavour: Flavour, m: int, h: int):
+    return TransformerSpecializer(flavour, m, h).rules(), {}
+
+
 def compile_transformer_analysis(
     facts: FactSet, flavour: Flavour, m: int, h: int
 ) -> CompiledAnalysis:
     """The specialized transformer-string instantiation: pure Datalog."""
-    specializer = TransformerSpecializer(flavour, m, h)
-    program = Program()
-    program.rules.extend(specializer.rules())
+    rule_set = _rule_set(_transformer_rules, flavour, m, h)
+    program = Program(rules=list(rule_set.rules))
     if facts.main_method is None:
         raise ValueError("fact set has no main method")
-    program.rules.append(specializer.entry_fact(facts.main_method))
+    program.rules.append(
+        TransformerSpecializer(flavour, m, h).entry_fact(facts.main_method)
+    )
     _install_input_facts(program, facts)
 
     def decoder(raw: Dict[str, Set[Tuple]]) -> Dict[str, Set[Tuple]]:
@@ -219,7 +283,7 @@ def compile_transformer_analysis(
         builtins={},
         decoder=decoder,
         description=f"{m}-{flavour.value}+{h}H/transformer-string/specialized",
-    ))
+    ), rule_set)
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +318,10 @@ pts(Y, H, U, V)      :- texc(P, H, U, V), catch_var(Y, P).
 """
 
 
-def compile_context_string_analysis(
-    facts: FactSet, flavour: Flavour, m: int, h: int
-) -> CompiledAnalysis:
-    """The context-string instantiation (paper Section 7's first half).
-
-    Inlining ``comp``/``inv`` into the rules and unifying variables
-    yields "the familiar rule[s] … found in the Doop framework"; the
-    flavour-specific constructors are builtins over packed context
-    tuples.
-    """
-    from repro.datalog.parser import parse_datalog
-
-    sens.validate_levels(flavour, m, h)
-    program = parse_datalog(_CS_RULES)
-    if facts.main_method is None:
-        raise ValueError("fact set has no main method")
-    entry = prefix(ENTRY_CONTEXT, m)
-    program.rules.append(
-        Rule(Literal("reach", (Const(facts.main_method), Const(entry))))
-    )
-    _install_input_facts(program, facts)
-
-    class_of = facts.class_of_heap
-
-    builtins = {
+def _context_string_builtins(
+    flavour: Flavour, m: int, h: int, class_of
+) -> Dict[str, BuiltinFn]:
+    return {
         "record_cs": function_builtin(
             "record_cs", lambda m_ctx: (prefix(m_ctx, h),), out_positions=(1,)
         ),
@@ -299,6 +342,38 @@ def compile_context_string_analysis(
             out_positions=(2,),
         ),
     }
+
+
+def _context_string_rules(flavour: Flavour, m: int, h: int):
+    from repro.datalog.parser import parse_datalog
+
+    return (
+        parse_datalog(_CS_RULES).rules,
+        _context_string_builtins(flavour, m, h, class_of=None),
+    )
+
+
+def compile_context_string_analysis(
+    facts: FactSet, flavour: Flavour, m: int, h: int
+) -> CompiledAnalysis:
+    """The context-string instantiation (paper Section 7's first half).
+
+    Inlining ``comp``/``inv`` into the rules and unifying variables
+    yields "the familiar rule[s] … found in the Doop framework"; the
+    flavour-specific constructors are builtins over packed context
+    tuples.
+    """
+    sens.validate_levels(flavour, m, h)
+    rule_set = _rule_set(_context_string_rules, flavour, m, h)
+    program = Program(rules=list(rule_set.rules))
+    if facts.main_method is None:
+        raise ValueError("fact set has no main method")
+    entry = prefix(ENTRY_CONTEXT, m)
+    program.rules.append(
+        Rule(Literal("reach", (Const(facts.main_method), Const(entry))))
+    )
+    _install_input_facts(program, facts)
+    builtins = _context_string_builtins(flavour, m, h, facts.class_of_heap)
 
     def decoder(raw: Dict[str, Set[Tuple]]) -> Dict[str, Set[Tuple]]:
         return {
@@ -330,7 +405,7 @@ def compile_context_string_analysis(
         builtins=builtins,
         decoder=decoder,
         description=f"{m}-{flavour.value}+{h}H/context-string",
-    ))
+    ), rule_set)
 
 
 # ---------------------------------------------------------------------------
@@ -365,37 +440,16 @@ reach(P, M)       :- call(I, P, C), target_t(C, M).
 """
 
 
-def compile_transformer_analysis_naive(
-    facts: FactSet, flavour: Flavour, m: int, h: int
-) -> CompiledAnalysis:
-    """The naive (unspecialized) transformer-string program.
-
-    Transformer strings stay packed in a single attribute and ``comp``
-    is a procedural builtin — "the performance of such an implementation
-    is significantly slower than a context string instantiation"
-    (Section 7).  Kept as the baseline for the indexing ablation.
-    """
-    from repro.datalog.parser import parse_datalog
-
-    sens.validate_levels(flavour, m, h)
-    program = parse_datalog(_NAIVE_RULES)
-    if facts.main_method is None:
-        raise ValueError("fact set has no main method")
-    entry = prefix(ENTRY_CONTEXT, m)
-    program.rules.append(
-        Rule(Literal("reach", (Const(facts.main_method), Const(entry))))
-    )
-    _install_input_facts(program, facts)
-
-    class_of = facts.class_of_heap
-
+def _naive_builtins(
+    flavour: Flavour, m: int, h: int, class_of
+) -> Dict[str, BuiltinFn]:
     def comp(i, j):
         return lambda b, c: _maybe(ts.compose_trunc(b, c, i, j))
 
     def _maybe(value):
         return None if value is None else (value,)
 
-    builtins = {
+    return {
         "comp_hh": function_builtin("comp_hh", comp(h, h), out_positions=(2,)),
         "comp_hm": function_builtin("comp_hm", comp(h, m), out_positions=(2,)),
         "inv_t": function_builtin(
@@ -432,6 +486,38 @@ def compile_transformer_analysis_naive(
         ),
     }
 
+
+def _naive_rules(flavour: Flavour, m: int, h: int):
+    from repro.datalog.parser import parse_datalog
+
+    return (
+        parse_datalog(_NAIVE_RULES).rules,
+        _naive_builtins(flavour, m, h, class_of=None),
+    )
+
+
+def compile_transformer_analysis_naive(
+    facts: FactSet, flavour: Flavour, m: int, h: int
+) -> CompiledAnalysis:
+    """The naive (unspecialized) transformer-string program.
+
+    Transformer strings stay packed in a single attribute and ``comp``
+    is a procedural builtin — "the performance of such an implementation
+    is significantly slower than a context string instantiation"
+    (Section 7).  Kept as the baseline for the indexing ablation.
+    """
+    sens.validate_levels(flavour, m, h)
+    rule_set = _rule_set(_naive_rules, flavour, m, h)
+    program = Program(rules=list(rule_set.rules))
+    if facts.main_method is None:
+        raise ValueError("fact set has no main method")
+    entry = prefix(ENTRY_CONTEXT, m)
+    program.rules.append(
+        Rule(Literal("reach", (Const(facts.main_method), Const(entry))))
+    )
+    _install_input_facts(program, facts)
+    builtins = _naive_builtins(flavour, m, h, facts.class_of_heap)
+
     def decoder(raw: Dict[str, Set[Tuple]]) -> Dict[str, Set[Tuple]]:
         return {
             name: set(raw.get(name, set()))
@@ -445,4 +531,4 @@ def compile_transformer_analysis_naive(
         builtins=builtins,
         decoder=decoder,
         description=f"{m}-{flavour.value}+{h}H/transformer-string/naive",
-    ))
+    ), rule_set)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compile.configurations import parse_tag
@@ -104,7 +105,9 @@ class KernelVariant:
 class KernelProgram:
     """The compiled kernels plus the storage-binding tables a driver
     needs: predicate → ``db`` slot, (predicate, positions) → ``idx``
-    slot, (predicate, column) → ``cols`` slot."""
+    slot, (predicate, column) → ``cols`` slot.  ``code`` is ``source``
+    compiled, set by the first :meth:`instantiate` unless a caller
+    already holds it."""
 
     source: str
     variants: List[KernelVariant]
@@ -117,6 +120,7 @@ class KernelProgram:
     variants_by_key: Dict[Tuple[int, Optional[int]], KernelVariant] = field(
         default_factory=dict
     )
+    code: Optional[CodeType] = None
 
     def __post_init__(self) -> None:
         if not self.variants_by_key:
@@ -127,16 +131,40 @@ class KernelProgram:
     def arity_of(self, pred: str) -> int:
         return self.pred_arities[pred]
 
+    def with_relations(self, facts: Dict[str, Set[Tuple]]) -> "KernelProgram":
+        """A copy with a ``db`` slot and an arity for every relation of
+        ``facts`` as well.  Every table is copied; only the immutable
+        source, code object and variants are shared, so a copy can be
+        changed without touching the program it came from."""
+        pred_ids = dict(self.pred_ids)
+        pred_arities = dict(self.pred_arities)
+        for pred, rows in facts.items():
+            pred_ids.setdefault(pred, len(pred_ids))
+            for row in rows:
+                pred_arities.setdefault(pred, len(row))
+                break
+        return KernelProgram(
+            source=self.source,
+            variants=list(self.variants),
+            pred_ids=pred_ids,
+            pred_arities=pred_arities,
+            index_ids=dict(self.index_ids),
+            column_ids=dict(self.column_ids),
+            builtin_ids=dict(self.builtin_ids),
+            var_pool=list(self.var_pool),
+            code=self.code,
+        )
+
     def instantiate(
         self,
         builtins: Optional[Dict[str, BuiltinFn]] = None,
         interner: Optional[Interner] = None,
     ):
-        """Exec the generated source; returns ``{function name: fn}``.
+        """Exec the compiled source; returns ``{function name: fn}``.
 
         The functions close over nothing mutable per run — storage is
         passed per call — so one instantiation can be shared by many
-        drivers.
+        drivers that share the builtins and the interner.
         """
         if self.builtin_ids and interner is None:
             raise KernelCompilationError(
@@ -156,7 +184,9 @@ class KernelProgram:
             "_dec": interner.value_of if interner is not None else None,
             "_enc": interner.intern if interner is not None else None,
         }
-        exec(compile(self.source, "<datalog-kernels>", "exec"), namespace)
+        if self.code is None:
+            self.code = compile(self.source, "<datalog-kernels>", "exec")
+        exec(self.code, namespace)
         return {v.name: namespace[v.name] for v in self.variants}
 
     def layout(self) -> List[Dict]:
@@ -527,13 +557,8 @@ def compile_kernels(
                 continue
             pred_ids.setdefault(literal.pred, len(pred_ids))
             pred_arities.setdefault(literal.pred, literal.arity)
-    for pred, rows in program.facts.items():
-        pred_ids.setdefault(pred, len(pred_ids))
-        for row in rows:
-            pred_arities.setdefault(pred, len(row))
-            break
 
-    return KernelProgram(
+    rules_only = KernelProgram(
         source="\n\n".join(sources),
         variants=variants,
         pred_ids=pred_ids,
@@ -543,3 +568,4 @@ def compile_kernels(
         builtin_ids=builtin_ids,
         var_pool=var_pool,
     )
+    return rules_only.with_relations(program.facts)

@@ -9,55 +9,137 @@ constant is interned up front (:func:`intern_program`), rows are
 fixed-width machine-int records, deltas are contiguous row-id ranges,
 and joins probe row-id buckets keyed by bare ints.
 
+Only live rules are compiled and run: :func:`eliminate_dead_rules`
+first drops every rule that can never fire against the fact set (a
+quarter to over half of an emitted analysis).  And a rule set is
+compiled once per process: the generated source, its code object and
+the strata are kept in a small process cache keyed by the rule set, so
+a later engine over the same live rules only executes the code object
+against its own builtins and interner (see :func:`_compiled_rules`).
+
 The visible result is identical to the other engines': predicate →
-decoded row set for every fact predicate and every rule head (the
-parity sweeps in ``tests/datalog/test_kernel.py`` pin this
-bit-for-bit against the worklist solver and both Datalog backends).
+decoded row set for every fact predicate and every rule head, dead
+rules' heads included, as empty sets (the parity sweeps in
+``tests/datalog/test_kernel.py`` pin this bit-for-bit against the
+worklist solver and both Datalog backends).
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from collections import OrderedDict, defaultdict
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.compile.kernels import KernelProgram, compile_kernels
 from repro.datalog.ast import Const, Literal, Program, Rule
 from repro.datalog.builtins import DEFAULT_BUILTINS, BuiltinFn
 from repro.datalog.engine import EngineStats
 from repro.datalog.stratify import stratify
+from repro.lint.passes import eliminate_dead_rules
 from repro.store import ColumnarRelation, ColumnarStore, Interner
+
+#: Compiled rule sets one process keeps, least recently used evicted
+#: first.  An emitted analysis's entry holds 3–6 MB, most of it the
+#: generated source and its code object; compiling it peaks at
+#: 110–210 MB.
+KERNEL_CACHE_SIZE = 8
+
+#: key hash → (key, kernels, strata); see :func:`_compiled_rules`.
+_cache: "OrderedDict[int, Tuple]" = OrderedDict()
+_cache_lock = threading.Lock()
 
 
 def intern_program(program: Program, interner: Interner) -> Program:
     """Rewrite every constant (rule consts and fact attributes) to its
-    interned symbol.  Deterministic: iteration follows program order."""
-    def encode_term(term):
-        if isinstance(term, Const):
-            return Const(interner.intern(term.value))
-        return term
-
+    interned symbol.  Deterministic: iteration follows program order.
+    Literals and rules without a constant are kept as they are."""
     def encode_literal(literal: Literal) -> Literal:
+        if not any(isinstance(term, Const) for term in literal.args):
+            return literal
         return Literal(
             literal.pred,
-            tuple(encode_term(t) for t in literal.args),
+            tuple(
+                Const(interner.intern(term.value))
+                if isinstance(term, Const) else term
+                for term in literal.args
+            ),
             negated=literal.negated,
             pos=literal.pos,
         )
 
-    rules = [
-        Rule(
-            encode_literal(rule.head),
-            tuple(encode_literal(lit) for lit in rule.body),
-            pos=rule.pos,
-        )
-        for rule in program.rules
-    ]
+    def encode_rule(rule: Rule) -> Rule:
+        head = encode_literal(rule.head)
+        body = tuple(encode_literal(lit) for lit in rule.body)
+        if head is rule.head and all(
+            new is old for new, old in zip(body, rule.body)
+        ):
+            return rule
+        return Rule(head, body, pos=rule.pos)
+
+    rules = [encode_rule(rule) for rule in program.rules]
     facts = {
         pred: {interner.intern_row(row) for row in sorted(rows)}
         for pred, rows in sorted(program.facts.items())
     }
     return Program(rules=rules, facts=facts)
+
+
+def _compiled_rules(
+    program: Program, builtin_names: FrozenSet[str]
+) -> Tuple[KernelProgram, List[Set[str]], bool]:
+    """The kernels and strata of an interned program's rules, compiled
+    once per process.
+
+    The cache key is the rule list with every non-fact rule as it
+    stands (interned, so its constants are the ints the kernels inline)
+    and every fact rule as its head's name and arity, plus the builtin
+    names.  That is all the kernels and strata depend on: fact rules
+    are loaded per run, never compiled, so programs that differ only in
+    their facts or fact rules share an entry.
+
+    Returns the entry's kernels copied and bound to ``program``'s fact
+    relations, the strata, and whether the entry was already cached.
+    Nothing returned is shared with another caller except immutable
+    parts (source, code object, variants).
+    """
+    key = (
+        tuple(
+            rule if rule.body else (rule.head.pred, rule.head.arity)
+            for rule in program.rules
+        ),
+        builtin_names,
+    )
+    # Hash the key once: the cache is keyed by the hash and each entry
+    # keeps its key to compare against (a collision is just a miss).
+    digest = hash(key)
+    with _cache_lock:
+        entry = _cache.get(digest)
+        if entry is not None and entry[0] == key:
+            _cache.move_to_end(digest)
+        else:
+            entry = None
+    cached = entry is not None
+    if entry is None:
+        rules = Program(rules=list(program.rules))
+        kernels = compile_kernels(rules, builtins=builtin_names)
+        kernels.code = compile(kernels.source, "<datalog-kernels>", "exec")
+        strata = tuple(
+            frozenset(stratum)
+            for stratum in stratify(rules, set(builtin_names))
+        )
+        entry = (key, kernels, strata)
+        with _cache_lock:
+            _cache[digest] = entry
+            _cache.move_to_end(digest)
+            while len(_cache) > KERNEL_CACHE_SIZE:
+                _cache.popitem(last=False)
+    _, kernels, strata = entry
+    return (
+        kernels.with_relations(program.facts),
+        [set(stratum) for stratum in strata],
+        cached,
+    )
 
 
 class KernelEngine:
@@ -67,6 +149,10 @@ class KernelEngine:
     and the compiled backend.  The kernel backend *always* interns —
     builtins cross the interner boundary through the decode/encode
     shims the kernel compiler emits.
+
+    ``program`` is the interned live program the kernels were compiled
+    from, ``dead_rules`` the source rules dropped as dead, and
+    ``compile_cached`` whether the kernels came from the process cache.
     """
 
     def __init__(
@@ -103,10 +189,19 @@ class KernelEngine:
                 " stored relations"
             )
         self._source_program = program
+        live, self.dead_rules = eliminate_dead_rules(program, self.builtins)
+        if self.dead_rules and any(
+            literal.negated for rule in program.rules for literal in rule.body
+        ):
+            # Dropping rules drops dependency edges: a program that
+            # negates through recursion only via a dead rule is still
+            # rejected, as the other engines reject it.
+            stratify(program, set(self.builtins))
         self.interner = Interner()
-        self.program = intern_program(program, self.interner)
-        self.kernels: KernelProgram = compile_kernels(
-            self.program, builtins=self.builtins
+        self.program = intern_program(live, self.interner)
+        self.kernels: KernelProgram
+        self.kernels, self._strata, self.compile_cached = _compiled_rules(
+            self.program, frozenset(self.builtins)
         )
         self._functions = self.kernels.instantiate(
             self.builtins, self.interner
@@ -138,6 +233,15 @@ class KernelEngine:
         self._cols: List = [None] * len(self.kernels.column_ids)
         for (pred, position), slot in self.kernels.column_ids.items():
             self._cols[slot] = self._relations[pred].columns[position]
+        # Dead rules' relations stay in the store, empty, so it holds
+        # every relation of the source program.
+        for rule in self.dead_rules:
+            for literal in (rule.head, *rule.body):
+                pred = literal.pred
+                if pred not in self._relations and pred not in self.builtins:
+                    self._relations[pred] = self.store.relation(
+                        pred, literal.arity
+                    )
 
     def _insert(self, pred: str, row: Tuple) -> bool:
         return self._relations[pred].add(row)
@@ -156,14 +260,14 @@ class KernelEngine:
                 self._relations[rule.head.pred].load(
                     tuple(t.value for t in rule.head.args)
                 )
-        strata = stratify(self.program, set(self.builtins))
-        for stratum in strata:
+        for stratum in self._strata:
             self._evaluate_stratum(stratum)
         self.stats.seconds = time.perf_counter() - start
         # Mirror the interpreting engine's view: fact relations plus
-        # every rule-head relation (body-only EDB names stay hidden).
+        # every rule-head relation, dead ones included (body-only EDB
+        # names stay hidden).
         visible = set(self.program.facts) | {
-            rule.head.pred for rule in self.program.rules
+            rule.head.pred for rule in self._source_program.rules
         }
         decode = self.interner.decode_row
         return {

@@ -218,34 +218,52 @@ def _check_builtin_binding(literal, bound, signature, diag) -> None:
 # Schema: arities and builtin collisions (DL101, DL103).
 # ---------------------------------------------------------------------------
 
+def _witness(source) -> str:
+    """Render where a schema or sort observation came from: a rule, a
+    ``(pred, row)`` fact, a ``(term, rule index)`` rule constant, or a
+    ready string.  Only a diagnostic quotes one, so observations keep
+    the object and format nothing."""
+    if isinstance(source, Rule):
+        return repr(source)
+    if isinstance(source, tuple):
+        subject, detail = source
+        if isinstance(subject, Const):
+            return f"constant {subject!r} in rule #{detail}"
+        return f"fact {subject}{tuple(detail)!r}"
+    return source
+
+
 def check_schema(
     program: Program, builtins: Builtins = None
 ) -> List[Diagnostic]:
     signatures = _normalize_builtins(builtins)
     out: List[Diagnostic] = []
-    arities: Dict[str, Tuple[int, str]] = {}
+    #: pred → (arity, witness of its first use; see :func:`_witness`).
+    arities: Dict[str, Tuple[int, object]] = {}
     for name, signature in signatures.items():
         if signature is not None and signature.arity is not None:
             arities[name] = (signature.arity, f"builtin {name}")
 
     def observe(pred: str, arity: int, rule_index: Optional[int],
-                pos, detail: str) -> None:
-        known = arities.setdefault(pred, (arity, detail))
-        if known[0] != arity:
+                pos, witness) -> None:
+        known = arities.get(pred)
+        if known is None:
+            arities[pred] = (arity, witness)
+        elif known[0] != arity:
             out.append(Diagnostic(
                 "DL101", Severity.ERROR,
-                f"predicate {pred!r} used with arity {arity} in {detail},"
-                f" but with arity {known[0]} in {known[1]}",
+                f"predicate {pred!r} used with arity {arity} in"
+                f" {_witness(witness)}, but with arity {known[0]} in"
+                f" {_witness(known[1])}",
                 rule_index=rule_index, pos=pos, where=pred,
             ))
 
     for index, rule in enumerate(program.rules):
         for lit in (rule.head, *rule.body):
-            observe(lit.pred, lit.arity, index,
-                    lit.pos or rule.pos, f"{rule!r}")
+            observe(lit.pred, lit.arity, index, lit.pos or rule.pos, rule)
     for pred, rows in program.facts.items():
         for row in rows:
-            observe(pred, len(row), None, None, f"fact {pred}{tuple(row)!r}")
+            observe(pred, len(row), None, None, (pred, row))
 
     stored = program.idb_predicates() | set(program.facts)
     for pred in sorted(stored & set(signatures)):
@@ -380,10 +398,10 @@ def check_sorts(
     """
     signatures = _normalize_builtins(builtins)
     union = _SlotUnion()
-    #: root slot → sort name → first witness description.
-    observed: Dict[Tuple[str, int], Dict[str, str]] = {}
+    #: root slot → sort name → first witness (see :func:`_witness`).
+    observed: Dict[Tuple[str, int], Dict[str, object]] = {}
 
-    def observe(slot: Tuple[str, int], sort: str, witness: str) -> None:
+    def observe(slot: Tuple[str, int], sort: str, witness) -> None:
         root = union.find(slot)
         observed.setdefault(root, {}).setdefault(sort, witness)
 
@@ -397,14 +415,13 @@ def check_sorts(
                 if isinstance(term, Var):
                     slots_of_var.setdefault(term, []).append(slot)
                 else:
-                    observe(slot, _sort_of(term.value),
-                            f"constant {term!r} in rule #{index}")
+                    observe(slot, _sort_of(term.value), (term, index))
         for slots in slots_of_var.values():
             for other in slots[1:]:
                 union.union(slots[0], other)
 
     # Re-key observations to the final roots before adding fact sorts.
-    merged: Dict[Tuple[str, int], Dict[str, str]] = {}
+    merged: Dict[Tuple[str, int], Dict[str, object]] = {}
     for root, sorts in observed.items():
         target = merged.setdefault(union.find(root), {})
         for sort, witness in sorts.items():
@@ -414,10 +431,7 @@ def check_sorts(
     for pred, rows in program.facts.items():
         for row in rows:
             for position, value in enumerate(row):
-                observe(
-                    (pred, position), _sort_of(value),
-                    f"fact {pred}{tuple(row)!r}",
-                )
+                observe((pred, position), _sort_of(value), (pred, row))
 
     out: List[Diagnostic] = []
     slots_by_root: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
@@ -429,7 +443,8 @@ def check_sorts(
             members = sorted(set(slots_by_root.get(root, [root])) | {root})
             columns = ", ".join(f"{p}[{i}]" for p, i in members[:6])
             details = "; ".join(
-                f"{sort} from {witness}" for sort, witness in sorted(sorts.items())
+                f"{sort} from {_witness(witness)}"
+                for sort, witness in sorted(sorts.items())
             )
             out.append(Diagnostic(
                 "DL102", Severity.WARNING,

@@ -37,3 +37,11 @@ def test_block_is_json_serializable():
 
     block = run_kernel_block(scale=1)
     assert json.loads(json.dumps(block)) == block
+
+
+def test_block_reports_whether_the_compile_was_cached():
+    first = run_kernel_block(scale=1)
+    again = run_kernel_block(scale=1)
+    assert isinstance(first["kernel"]["compile_cached"], bool)
+    assert again["kernel"]["compile_cached"] is True
+    assert "(cached)" in format_kernels(again)

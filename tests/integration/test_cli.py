@@ -611,6 +611,50 @@ class TestUnreadableInput:
             " No such file or directory"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["query", "--var", "T.main/x"],
+        ["check"],
+        ["serve"],
+        ["emit"],
+    ], ids=["analyze", "query", "check", "serve", "emit"])
+    @pytest.mark.parametrize("case", ["missing", "no-main"])
+    def test_facts_dir_failure_is_one_stderr_line(self, argv, case,
+                                                  tmp_path):
+        import subprocess
+        import sys
+
+        directory = tmp_path / case
+        if case == "missing":
+            expected = (
+                f"repro {argv[0]}: cannot read {directory}:"
+                " No such file or directory"
+            )
+        else:
+            directory.mkdir()
+            (directory / "AssignLocal.facts").write_text("T.m/a\tT.m/b\n")
+            expected = (
+                f"repro {argv[0]}: {directory}: fact set has no main method"
+            )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv,
+             "--facts-dir", str(directory)],
+            capture_output=True, text=True, timeout=60,
+            stdin=subprocess.DEVNULL,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [expected]
+
+    def test_malformed_facts_dir_is_one_line(self, tmp_path, capsys):
+        (tmp_path / "AssignLocal.facts").write_text("a\tb\tc\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--facts-dir", str(tmp_path)])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro analyze: cannot read {tmp_path}:"
+            " AssignLocal.facts:1: expected 2 columns, got 3"
+        ]
+
     def test_undecodable_file_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "binary.java"
         path.write_bytes(b"\xff\xfe class T {}")
@@ -647,6 +691,29 @@ class TestAnalyzeBackend:
         assert "call graph:" in out
         assert "rule_evaluations=" in out
         assert "relation" in out and "inserts" in out
+
+    def test_kernel_stats_show_cache_live_rules_and_no_probes(
+        self, figure1_file, capsys
+    ):
+        import re
+
+        for _ in range(2):
+            assert main([
+                "analyze", figure1_file, "--backend", "kernel", "--stats",
+            ]) == 0
+        out = capsys.readouterr().out
+        lines = re.findall(
+            r"^kernels: (compiled|cache hit), (\d+) of (\d+) emitted"
+            r" rules live$", out, re.MULTILINE,
+        )
+        assert len(lines) == 2 and lines[1][0] == "cache hit"
+        live, emitted = int(lines[1][1]), int(lines[1][2])
+        assert 0 < live < emitted
+        rows = [
+            line.split() for line in out.splitlines()
+            if line.startswith(("pts__", "assign "))
+        ]
+        assert rows and all(row[4] == "-" for row in rows)
 
     def test_backend_worklist_is_default_path(self, figure1_file, capsys):
         assert main([
