@@ -10,7 +10,9 @@ formats the result in the paper's layout.
 
 from __future__ import annotations
 
+import gc
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -29,8 +31,8 @@ class Measurement:
     """One analysis run: sizes, wall-clock time and store counters.
 
     ``counters`` is the per-relation statistics surface of the run's
-    :class:`repro.store.TupleStore` (``None`` for callers that bypass
-    the harness's own measurement functions).
+    store (``None`` for callers that bypass the harness's own
+    measurement functions).
     """
 
     sizes: Dict[str, int]
@@ -93,14 +95,17 @@ def _measure_solver(facts: FactSet, configuration: str, abstraction: str,
 
 def _measure_datalog(facts: FactSet, configuration: str, abstraction: str,
                      repetitions: int) -> Measurement:
-    """Measure on the compiled Datalog back-end — the setup closest to
-    the paper's (front-end emits Datalog; an LLVM-like engine runs it).
-    Codegen happens once, outside the timed region, like any compiler."""
+    """Measure on the compiled Datalog back-end, the columnar kernels —
+    the setup closest to the paper's (front-end emits Datalog; an
+    LLVM-like engine runs it).  Each repetition times the fixpoint of a
+    fresh engine; building it (the kernel compile, a process-cache hit
+    after the first) stays outside the timed region, like any compiler,
+    and so does collecting the garbage the build leaves."""
     from repro.compile.emit import (
         compile_context_string_analysis,
         compile_transformer_analysis,
     )
-    from repro.datalog.codegen import CompiledEngine
+    from repro.datalog.kernel import KernelEngine
 
     config = config_by_name(configuration)
     compiler = (
@@ -109,14 +114,13 @@ def _measure_datalog(facts: FactSet, configuration: str, abstraction: str,
         else compile_context_string_analysis
     )
     compiled = compiler(facts, config.flavour, config.m, config.h)
-    engine = CompiledEngine(compiled.program, compiled.builtins)
-    raw = None
-
-    def solve():
-        nonlocal raw
+    best = float("inf")
+    for _ in range(max(1, repetitions)):
+        engine = KernelEngine(compiled.program, compiled.builtins)
+        gc.collect()
+        start = time.perf_counter()
         raw = engine.run()
-
-    best = best_of(solve, repetitions)
+        best = min(best, time.perf_counter() - start)
     relations = compiled.decoder(raw)
     sizes = {name: len(relations[name]) for name in RELATIONS}
     ci_sizes = {
@@ -135,7 +139,8 @@ def run_cell(facts: FactSet, benchmark: str, configuration: str,
     """Run both abstractions on one benchmark under one configuration.
 
     ``engine`` is ``"solver"`` (the worklist fast path) or ``"datalog"``
-    (the compiled Datalog back-end, the paper's architecture).
+    (the columnar kernels, the compiled Datalog back-end of the paper's
+    architecture).
     """
     measure = _measure_solver if engine == "solver" else _measure_datalog
     if engine not in ("solver", "datalog"):
@@ -211,8 +216,9 @@ def run_figure6(
 ) -> Figure6:
     """Regenerate paper Figure 6 on the synthetic DaCapo analogues.
 
-    ``engine="datalog"`` measures on the compiled Datalog back-end (the
-    paper's own architecture) instead of the worklist solver.
+    ``engine="datalog"`` measures on the compiled Datalog back-end, the
+    columnar kernels (the paper's own architecture), instead of the
+    worklist solver.
     """
     table = Figure6()
     for benchmark in benchmarks:

@@ -80,6 +80,24 @@ def _read_input(path: str, command: str) -> str:
         _input_error(command, f"cannot read {path}: {reason}")
 
 
+def _read_source_facts(path: str, command: str):
+    """The facts of the Java source at ``path``.  A file that does not
+    parse, whose classes are malformed (a duplicate, an undeclared
+    superclass, a cycle), or that has no ``static main(String[])``,
+    ends the run with ``repro COMMAND: PATH: REASON`` (the parser's
+    line:col kept)."""
+    from repro.frontend.factgen import FactGenError, facts_from_source
+    from repro.frontend.ir import ProgramError
+    from repro.frontend.lexer import LexError
+    from repro.frontend.parser import ParseError
+
+    source = _read_input(path, command)
+    try:
+        return facts_from_source(source)
+    except (LexError, ParseError, ProgramError, FactGenError) as error:
+        _input_error(command, f"{path}: {error}")
+
+
 def _read_facts_dir(directory: str, command: str):
     """The fact set in ``directory``.  A missing or malformed directory
     ends the run with ``repro COMMAND: cannot read DIR: REASON``, one
@@ -106,13 +124,11 @@ def _read_facts_dir(directory: str, command: str):
 
 
 def _load_facts(args):
-    from repro.frontend.factgen import facts_from_source
-
     if args.facts_dir:
         return _read_facts_dir(args.facts_dir, args.command)
     if not args.source:
         raise SystemExit("error: provide a source file or --facts-dir")
-    return facts_from_source(_read_input(args.source, args.command))
+    return _read_source_facts(args.source, args.command)
 
 
 def _analysis_config(args):
@@ -189,12 +205,11 @@ def _analyze_diff(args) -> int:
     import time
 
     from repro.core.analysis import PointerAnalysis
-    from repro.frontend.factgen import facts_from_source
     from repro.incremental import IncrementalSolver, copy_facts, diff_facts
 
     old_path, new_path = args.diff
-    old = facts_from_source(_read_input(old_path, args.command))
-    new = facts_from_source(_read_input(new_path, args.command))
+    old = _read_source_facts(old_path, args.command)
+    new = _read_source_facts(new_path, args.command)
     config = _analysis_config(args)
     delta = diff_facts(old, new)
     print(f"fact delta ({old_path} -> {new_path}):")
@@ -365,18 +380,17 @@ def _analyze_magic(args) -> int:
 #: ``--backend`` names → :meth:`CompiledAnalysis.run` backend names.
 _BACKENDS = {
     "engine": "interpreted",
-    "compiled": "compiled",
     "kernel": "kernel",
 }
 
 
 def _analyze_backend(args) -> int:
-    """``analyze --backend engine|compiled|kernel``: one Datalog
-    backend, cross-checked against the worklist solver.
+    """``analyze --backend engine|kernel``: one Datalog backend,
+    cross-checked against the worklist solver.
 
     Compiles the configuration to plain Datalog, evaluates it on the
-    selected backend (the semi-naive interpreter, the generated
-    tuple-row code, or the fused columnar kernels), verifies every
+    selected backend (the semi-naive interpreter or the fused columnar
+    kernels), verifies every
     derived relation fact-for-fact against the worklist solver, and
     prints points-to sets plus engine statistics.  Exits 1 on any
     mismatch.
@@ -471,9 +485,8 @@ def _store_stats_table(stats, probes: bool = True) -> str:
 
 def cmd_facts(args) -> int:
     from repro.frontend.doopfacts import write_facts
-    from repro.frontend.factgen import facts_from_source
 
-    facts = facts_from_source(_read_input(args.source, args.command))
+    facts = _read_source_facts(args.source, args.command)
     write_facts(facts, args.out)
     print(f"wrote {sum(facts.counts().values())} facts to {args.out}")
     return 0
@@ -958,6 +971,8 @@ def _lint_compiled(facts, name: str, abstraction: str):
 def cmd_lint(args) -> int:
     from repro.datalog.lint import lint_program
     from repro.datalog.parser import DatalogSyntaxError, parse_datalog
+    from repro.frontend.ir import ProgramError
+    from repro.frontend.lexer import LexError
     from repro.frontend.parser import ParseError
 
     source = _read_input(args.path, args.command)
@@ -976,7 +991,7 @@ def cmd_lint(args) -> int:
     entries: list = []
     try:
         failed = _lint_path(source, args, entries)
-    except (DatalogSyntaxError, ParseError) as error:
+    except (DatalogSyntaxError, LexError, ParseError, ProgramError) as error:
         # A file the parser rejects is a lint failure, not a crash.
         print(f"error[syntax] in {args.path}: {error}", file=sys.stderr)
         return 1
@@ -1547,12 +1562,11 @@ def build_parser() -> argparse.ArgumentParser:
         " solve",
     )
     p_analyze.add_argument(
-        "--backend", choices=("worklist", "engine", "compiled", "kernel"),
+        "--backend", choices=("worklist", "engine", "kernel"),
         help="execution backend: the worklist solver (default), the"
-        " semi-naive Datalog interpreter, the compiled tuple-row"
-        " backend, or the fused columnar kernels; non-worklist"
-        " backends verify fact-for-fact parity against the worklist"
-        " solver and exit 1 on mismatch",
+        " semi-naive Datalog interpreter, or the fused columnar"
+        " kernels; non-worklist backends verify fact-for-fact parity"
+        " against the worklist solver and exit 1 on mismatch",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -68,10 +68,9 @@ class CompiledAnalysis:
         """Evaluate the program.
 
         ``backend`` selects the Datalog engine: ``"interpreted"`` (the
-        semi-naive interpreter), ``"compiled"`` (rule bodies compiled
-        to Python source — the analogue of the paper's LLVM back-end)
-        or ``"kernel"`` (fused integer kernels over the columnar store
-        of an interned program — :mod:`repro.compile.kernels`).
+        semi-naive interpreter) or ``"kernel"`` (fused integer kernels
+        over the columnar store of an interned program — the analogue
+        of the paper's LLVM back-end, :mod:`repro.compile.kernels`).
 
         ``eliminate_dead=True`` first drops rules that can never fire
         against the installed fact set (the configuration cross-product
@@ -94,12 +93,6 @@ class CompiledAnalysis:
             program, _ = eliminate_dead_rules(program, self.builtins)
         if backend == "interpreted":
             engine = Engine(program, self.builtins, cost_order=cost_order)
-        elif backend == "compiled":
-            from repro.datalog.codegen import CompiledEngine
-
-            engine = CompiledEngine(
-                program, self.builtins, cost_order=cost_order
-            )
         elif backend == "kernel":
             from repro.datalog.kernel import KernelEngine
 

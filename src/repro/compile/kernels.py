@@ -12,8 +12,8 @@ function over the :class:`~repro.store.columnar.ColumnarRelation`
 arrays of an interned program — no ``TransformerString`` objects, no
 literal dispatch, no tuple materialization on the probe path.
 
-Differences from :mod:`repro.datalog.codegen` (the tuple-row code
-generator it structurally mirrors):
+What the generated code avoids, compared with a join over
+materialized tuples:
 
 * relations are columnar: the delta is a range of *row ids* and
   destructuring reads ``column[row_id]`` from hoisted ``array('q')``
@@ -132,15 +132,17 @@ class KernelProgram:
         return self.pred_arities[pred]
 
     def with_relations(self, facts: Dict[str, Set[Tuple]]) -> "KernelProgram":
-        """A copy with a ``db`` slot and an arity for every relation of
-        ``facts`` as well.  Every table is copied; only the immutable
-        source, code object and variants are shared, so a copy can be
-        changed without touching the program it came from."""
+        """A copy with a ``db`` slot and an arity for every non-empty
+        relation of ``facts`` as well (an empty one has no rows to give
+        it an arity, and no rule reads it unless a rule already gave it
+        both).  Every table is copied; only the immutable source, code
+        object and variants are shared, so a copy can be changed
+        without touching the program it came from."""
         pred_ids = dict(self.pred_ids)
         pred_arities = dict(self.pred_arities)
         for pred, rows in facts.items():
-            pred_ids.setdefault(pred, len(pred_ids))
             for row in rows:
+                pred_ids.setdefault(pred, len(pred_ids))
                 pred_arities.setdefault(pred, len(row))
                 break
         return KernelProgram(
@@ -445,7 +447,7 @@ class _KernelCompiler:
         # unbound positions re-intern.  Semantics mirror the
         # interpreting engine's _eval_builtin exactly — including the
         # repeated-unbound-variable consistency check and negated
-        # builtins (both of which repro.datalog.codegen elides).
+        # builtins.
         args: List[str] = []
         unbound: List[Tuple[int, Var]] = []
         for position, term in enumerate(literal.args):

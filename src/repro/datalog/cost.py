@@ -3,7 +3,7 @@
 The paper's Section 7 performance argument is that configuration
 specialization makes every join a fully-indexed equi-join — but *which*
 indices a join can use is decided by body order, and every execution
-surface of this repo (interpreter, compiled back-end, kernels)
+surface of this repo (interpreter, kernels)
 evaluates rule bodies in fixed left-to-right source order.  This module
 analyzes the program *before* running it:
 
@@ -26,7 +26,7 @@ analyzes the program *before* running it:
 The result is a :class:`CostPlan`: the chosen order and cost for every
 rule, a byte-stable ``repro-cost-plan/1`` document, DL5xx diagnostics
 with line/col witnesses, and :func:`reorder_program` — the rewrite the
-engines apply under ``cost_order=True``.  Because all three backends
+engines apply under ``cost_order=True``.  Because both backends
 evaluate bodies in author order, applying a legal permutation is a pure
 program rewrite with bit-identical results (tested across the full
 figure1/figure5 configuration sweep).

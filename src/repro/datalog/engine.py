@@ -17,10 +17,10 @@ prototype implements (Section 7, modulo its LLVM backend):
 
 Storage is the shared substrate of :mod:`repro.store`: delta-aware
 relations (the semi-naive ``stable``/``delta``/``pending`` lifecycle is
-implemented there, once, for this engine, the compiled back-end and the
-solvers) with the column-subset indices each join will probe planned up
-front from the program (:func:`repro.store.plan_indices`) instead of
-lazily on first probe.
+implemented there, once, for this engine and the solvers) with the
+column-subset indices each join will probe planned up front from the
+program (:func:`repro.store.plan_indices`) instead of lazily on first
+probe.
 
 Builtins (context constructors, comparisons) are evaluated inline when
 reached; negated literals must be fully bound.

@@ -1,9 +1,9 @@
 """The kernel backend: semi-naive rounds over columnar integer storage.
 
-The driver half of :mod:`repro.compile.kernels`.  Where the
-interpreting :class:`~repro.datalog.engine.Engine` walks rule ASTs and
-the compiled backend (:mod:`repro.datalog.codegen`) runs generated
-tuple-row functions, the :class:`KernelEngine` runs generated *column*
+The driver half of :mod:`repro.compile.kernels`, and the repo's one
+compiled Datalog backend (the analogue of the paper's LLVM engine,
+Section 8).  Where the interpreting :class:`~repro.datalog.engine.Engine`
+walks rule ASTs, the :class:`KernelEngine` runs generated *column*
 functions over a :class:`~repro.store.columnar.ColumnarStore`: every
 constant is interned up front (:func:`intern_program`), rows are
 fixed-width machine-int records, deltas are contiguous row-id ranges,
@@ -17,11 +17,11 @@ the strata are kept in a small process cache keyed by the rule set, so
 a later engine over the same live rules only executes the code object
 against its own builtins and interner (see :func:`_compiled_rules`).
 
-The visible result is identical to the other engines': predicate →
-decoded row set for every fact predicate and every rule head, dead
-rules' heads included, as empty sets (the parity sweeps in
-``tests/datalog/test_kernel.py`` pin this bit-for-bit against the
-worklist solver and both Datalog backends).
+The visible result is identical to the interpreting engine's:
+predicate → decoded row set for every non-empty fact predicate and
+every rule head, dead rules' heads included, as empty sets (the parity
+sweeps in ``tests/datalog/test_kernel.py`` pin this bit-for-bit against
+the worklist solver and the interpreting engine).
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def _compiled_rules(
 class KernelEngine:
     """Evaluates a :class:`Program` to fixpoint through fused kernels.
 
-    Drop-in result-compatible with :class:`~repro.datalog.engine.Engine`
-    and the compiled backend.  The kernel backend *always* interns —
+    Drop-in result-compatible with :class:`~repro.datalog.engine.Engine`.
+    The kernel backend *always* interns —
     builtins cross the interner boundary through the decode/encode
     shims the kernel compiler emits.
 
@@ -263,12 +263,12 @@ class KernelEngine:
         for stratum in self._strata:
             self._evaluate_stratum(stratum)
         self.stats.seconds = time.perf_counter() - start
-        # Mirror the interpreting engine's view: fact relations plus
-        # every rule-head relation, dead ones included (body-only EDB
-        # names stay hidden).
-        visible = set(self.program.facts) | {
-            rule.head.pred for rule in self._source_program.rules
-        }
+        # Mirror the interpreting engine's view: non-empty fact
+        # relations plus every rule-head relation, dead ones included
+        # (body-only EDB names and empty fact relations stay hidden).
+        visible = {
+            pred for pred, rows in self.program.facts.items() if rows
+        } | {rule.head.pred for rule in self._source_program.rules}
         decode = self.interner.decode_row
         return {
             pred: {decode(row) for row in self._relations[pred].rows}

@@ -183,6 +183,12 @@ class ClassDecl:
         return method
 
 
+class ProgramError(ValueError):
+    """Raised on a program whose class structure is malformed: a
+    duplicate class, a superclass that is never declared, or an
+    inheritance cycle."""
+
+
 @dataclass
 class Program:
     """A whole program: classes plus the designated entry point."""
@@ -192,7 +198,7 @@ class Program:
 
     def add_class(self, cls: ClassDecl) -> ClassDecl:
         if cls.name in self.classes:
-            raise ValueError(f"duplicate class {cls.name!r}")
+            raise ProgramError(f"duplicate class {cls.name!r}")
         self.classes[cls.name] = cls
         return cls
 
@@ -205,7 +211,7 @@ class Program:
         current: Optional[str] = name
         while current is not None:
             if current in seen:
-                raise ValueError(f"inheritance cycle through {current!r}")
+                raise ProgramError(f"inheritance cycle through {current!r}")
             seen.add(current)
             chain.append(current)
             decl = self.classes.get(current)
@@ -261,7 +267,7 @@ class Program:
         """Sanity-check structural invariants (used by generators/tests)."""
         for cls in self.classes.values():
             if cls.superclass is not None and cls.superclass not in self.classes:
-                raise ValueError(
+                raise ProgramError(
                     f"class {cls.name!r} extends unknown {cls.superclass!r}"
                 )
             self.superclass_chain(cls.name)  # raises on cycles

@@ -10,8 +10,8 @@ that protocol for the reproduction, in the DaCapo-harness idiom:
   deep wrapper chains; ``fanout``: wide dispatch);
 * :mod:`repro.perf.adapters` — the :class:`SuiteAdapter` protocol, so
   one benchmark definition drives every execution surface (worklist /
-  engine / compiled / kernel backends, incremental edit churn, and the
-  serving gateway);
+  engine / kernel backends, incremental edit churn, and the serving
+  gateway);
 * :mod:`repro.perf.result` — :class:`RunResult`: explicit warmup vs
   steady-state iterations, per-phase timers (factgen / compile / solve
   / query), and a ``certified`` flag meaning the timed run was verified

@@ -11,7 +11,6 @@ surface                    what is timed per steady iteration
 ``worklist``               the sequential reference solver (the surface
                            every other one certifies against)
 ``engine``                 the semi-naive Datalog interpreter
-``compiled``               rule bodies code-generated to Python
 ``kernel``                 fused columnar integer kernels
 ``kernel-cost``            kernels compiled from the cost-ordered program
 ``incremental``            a stream of single-statement edits (DRed)
@@ -143,7 +142,7 @@ class WorklistAdapter(_FactsAdapter):
 
 
 class _DatalogAdapter(_FactsAdapter):
-    """Shared shape of the three single-engine Datalog backends."""
+    """Shared shape of the single-engine Datalog backends."""
 
     backend = "?"
 
@@ -207,17 +206,6 @@ class EngineAdapter(_DatalogAdapter):
         from repro.datalog.engine import Engine
 
         return Engine(compiled.program, compiled.builtins)
-
-
-class CompiledAdapter(_DatalogAdapter):
-    """Rule bodies code-generated to Python (the LLVM-backend analogue)."""
-
-    surface = "compiled"
-
-    def _engine(self, compiled):
-        from repro.datalog.codegen import CompiledEngine
-
-        return CompiledEngine(compiled.program, compiled.builtins)
 
 
 class KernelAdapter(_DatalogAdapter):
@@ -438,7 +426,6 @@ class ServingAdapter(_FactsAdapter):
 ADAPTERS: Dict[str, Callable[[], SuiteAdapter]] = {
     "worklist": WorklistAdapter,
     "engine": EngineAdapter,
-    "compiled": CompiledAdapter,
     "kernel": KernelAdapter,
     "kernel-cost": KernelCostAdapter,
     "incremental": IncrementalAdapter,

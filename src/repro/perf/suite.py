@@ -85,7 +85,7 @@ def _micro_entries() -> Tuple[SuiteEntry, ...]:
 def _corpus_entries() -> Tuple[SuiteEntry, ...]:
     cells: List[SuiteEntry] = []
     for benchmark in DEFAULT_REGISTRY.names():
-        for surface in ("worklist", "engine", "compiled", "kernel"):
+        for surface in ("worklist", "engine", "kernel"):
             cells.append(SuiteEntry(benchmark, surface, "2-object+H", 1))
     return tuple(cells)
 

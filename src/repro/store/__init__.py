@@ -7,7 +7,8 @@ lives, exactly once, for all four execution paths of the reproduction:
 
 * the worklist solver (:mod:`repro.core.solver`),
 * the interpreting Datalog engine (:mod:`repro.datalog.engine`),
-* the compiling Datalog back-end (:mod:`repro.datalog.codegen`),
+* the columnar kernel backend (:mod:`repro.datalog.kernel`, over
+  :class:`ColumnarStore`),
 * the CFL flows-to solver (:mod:`repro.cfl.solver`).
 
 Components:

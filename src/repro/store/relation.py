@@ -257,11 +257,6 @@ class Relation:
             self.counters.index_builds += 1
         return index
 
-    def index_view(self, positions: Tuple[int, ...]) -> Dict[Tuple, List[Row]]:
-        """The live index dict for ``positions`` (for compiled fast
-        paths that inline ``.get`` probes); builds it if missing."""
-        return self.ensure_index(positions)
-
     def lookup(self, positions: Tuple[int, ...], key: Tuple) -> List[Row]:
         """Rows whose projection onto ``positions`` equals ``key``.
 

@@ -109,6 +109,6 @@ class TestSpecializedDatalogAtDepth3:
         solver = analyze(facts, config_by_name("3-call+2H", "transformer-string"))
         compiled = compile_transformer_analysis(
             facts, Flavour.CALL_SITE, 3, 2
-        ).run(backend="compiled")
+        ).run(backend="kernel")
         assert compiled.pts == solver.pts
         assert compiled.call == solver.call

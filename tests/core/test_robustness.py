@@ -126,5 +126,5 @@ class TestCompiledPathsRobustness:
         compiled = compile_transformer_analysis(facts, Flavour.CALL_SITE, 1, 0)
         result = compiled.run()
         assert ("M.main/x", "h1") in result.pts_ci()
-        compiled_backend = compiled.run(backend="compiled")
+        compiled_backend = compiled.run(backend="kernel")
         assert compiled_backend.pts == result.pts

@@ -7,7 +7,7 @@ join-order planner's choices on hand-written programs, each DL501–DL504
 diagnostic, the byte-stable ``repro-cost-plan/1`` document and its
 self-check, and — the property the whole module rests on — that
 applying a plan is a pure rewrite: bit-identical fixpoints on the
-interpreting engine, the compiled backend, and the fused kernels,
+interpreting engine and the fused kernels,
 including the delta-index fast paths the reordered programs exercise.
 """
 
@@ -23,7 +23,6 @@ from repro.datalog.cost import (
     reorder_program,
     verify_cost_plan,
 )
-from repro.datalog.codegen import CompiledEngine
 from repro.datalog.engine import Engine
 from repro.datalog.kernel import KernelEngine
 from repro.datalog.parser import parse_datalog
@@ -356,7 +355,6 @@ class TestApplyParity:
         baseline = Engine(program).run()
         ordered = reorder_program(program)
         assert Engine(ordered).run() == baseline
-        assert CompiledEngine(ordered).run() == baseline
         assert KernelEngine(ordered).run() == baseline
 
     def test_engine_cost_order_flag(self):

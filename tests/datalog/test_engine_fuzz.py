@@ -2,10 +2,10 @@
 
 Random safe positive programs (with optional stratified negation tails
 and comparison builtins) are evaluated by the interpreting engine and
-the compiling back-end; the results must be identical.  This guards the
-code generator against the long tail of rule shapes — repeated
-variables, constants in heads and bodies, cross-products, self-joins —
-that hand-written tests undersample.
+the columnar kernel backend; the results must be identical.  This
+guards the kernel compiler against the long tail of rule shapes —
+repeated variables, constants in heads and bodies, cross-products,
+self-joins — that hand-written tests undersample.
 """
 
 import random
@@ -14,8 +14,8 @@ from typing import List
 import pytest
 
 from repro.datalog.ast import Const, Literal, Program, Rule, Var
-from repro.datalog.codegen import CompiledEngine
 from repro.datalog.engine import Engine
+from repro.datalog.kernel import KernelEngine
 
 
 def random_datalog(seed: int) -> Program:
@@ -111,7 +111,7 @@ def test_engines_agree(seed):
     except ValueError:
         return
     interpreted = Engine(program).run()
-    compiled = CompiledEngine(program).run()
+    compiled = KernelEngine(program).run()
     assert compiled == interpreted
 
 

@@ -2,24 +2,31 @@
 
 The acceptance criterion for the kernel compiler: the fused integer
 kernels are bit-identical to the worklist solver across Figure 1 and
-Figure 5, both abstractions, and the full (flavour, m, h) grid — the
-same sweep the parallel executor is held to — plus engine-level
-behaviour (builtins, negation, stratification, stats, strict lint).
+Figure 5, both abstractions, and the full (flavour, m, h) grid, and to
+the interpreting engine on every program shape the repository uses —
+classic recursion, negation, builtins, the pointer-analysis
+instantiations, magic-set transforms and random fuzz programs — plus
+engine-level behaviour (stats, reruns, strict lint).
 """
 
 import pytest
 
 from repro import analyze
+from repro.bench.fuzz import random_program
 from repro.compile.emit import (
     compile_context_string_analysis,
     compile_transformer_analysis,
+    compile_transformer_analysis_naive,
 )
 from repro.core.config import config_by_name
-from repro.datalog.ast import Literal, Var
+from repro.core.sensitivity import Flavour
+from repro.datalog.ast import Literal, Program, Rule, Var, atom, negated
+from repro.datalog.builtins import function_builtin
 from repro.datalog.engine import Engine
 from repro.datalog.kernel import KernelEngine, evaluate_kernel, intern_program
+from repro.datalog.magic import magic_transform
 from repro.datalog.parser import parse_datalog
-from repro.frontend.factgen import facts_from_source
+from repro.frontend.factgen import facts_from_source, generate_facts
 from repro.frontend.paper_programs import FIGURE_1, FIGURE_5
 from repro.store import Interner
 
@@ -147,6 +154,195 @@ class TestEngineBehaviour:
         program.add_facts("f", {(1,)})
         results = evaluate_kernel(program)
         assert set(results) == {"e", "f", "p"}
+
+
+def assert_same(program, builtins=None):
+    """Kernel result == interpreter result; returns the kernel's."""
+    interpreted = Engine(program, builtins).run()
+    kernel = KernelEngine(program, builtins).run()
+    assert kernel == interpreted
+    return kernel
+
+
+def _tc_program(edges):
+    program = Program()
+    program.rule(atom("path", "X", "Y"), atom("edge", "X", "Y"))
+    program.rule(
+        atom("path", "X", "Z"), atom("edge", "X", "Y"), atom("path", "Y", "Z")
+    )
+    program.add_facts("edge", edges)
+    return program
+
+
+class TestClassicPrograms:
+    def test_transitive_closure(self):
+        result = assert_same(_tc_program([(i, i + 1) for i in range(25)]))
+        assert len(result["path"]) == 25 * 26 // 2
+
+    def test_nonlinear_recursion(self):
+        program = Program()
+        program.rule(atom("path", "X", "Y"), atom("edge", "X", "Y"))
+        program.rule(
+            atom("path", "X", "Z"), atom("path", "X", "Y"), atom("path", "Y", "Z")
+        )
+        program.add_facts("edge", [(i, i + 1) for i in range(12)])
+        assert_same(program)
+
+    def test_same_generation(self):
+        program = Program()
+        program.rule(atom("sg", "X", "X"), atom("person", "X"))
+        program.rule(
+            atom("sg", "X", "Y"),
+            atom("parent", "X", "XP"),
+            atom("sg", "XP", "YP"),
+            atom("parent", "Y", "YP"),
+        )
+        program.add_facts("person", [("a",), ("c1",), ("c2",), ("d",)])
+        program.add_facts("parent", [("c1", "a"), ("c2", "a"), ("d", "c1")])
+        assert_same(program)
+
+    def test_stratified_negation(self):
+        program = Program()
+        program.rule(atom("node", "X"), atom("edge", "X", "_A"))
+        program.rule(atom("node", "Y"), atom("edge", "_B", "Y"))
+        program.rule(atom("reach", "a"))
+        program.rule(atom("reach", "Y"), atom("reach", "X"), atom("edge", "X", "Y"))
+        program.rule(
+            atom("unreachable", "X"), atom("node", "X"), negated("reach", "X")
+        )
+        program.add_facts("edge", [("a", "b"), ("d", "e")])
+        result = assert_same(program)
+        assert result["unreachable"] == {("d",), ("e",)}
+
+    def test_constants_and_repeats(self):
+        program = Program()
+        program.rule(atom("from_a", "Y"), atom("edge", "a", "Y"))
+        program.rule(atom("loop", "X"), atom("edge", "X", "X"))
+        program.rule(atom("tagged", "x", "Y"), atom("edge", "Y", "Y"))
+        program.add_facts("edge", [("a", "b"), ("c", "c")])
+        result = assert_same(program)
+        assert result["from_a"] == {("b",)}
+        assert result["tagged"] == {("x", "c")}
+
+    def test_builtins(self):
+        double = function_builtin("double", lambda x: (2 * x,), out_positions=(1,))
+        program = Program()
+        program.rule(atom("big", "X"), atom("n", "X"), atom("gt", "X", 2))
+        program.rule(atom("d", "X", "Y"), atom("n", "X"), atom("double", "X", "Y"))
+        program.rule(atom("next", "X", "Y"), atom("n", "X"), atom("succ", "X", "Y"))
+        program.add_facts("n", [(1,), (3,), (4,)])
+        result = assert_same(program, {"double": double})
+        assert result["d"] == {(1, 2), (3, 6), (4, 8)}
+
+    def test_zero_arity(self):
+        program = Program()
+        program.rule(atom("flag"))
+        program.rule(atom("out", "X"), atom("flag"), atom("q", "X"))
+        program.add_facts("q", [(7,)])
+        result = assert_same(program)
+        assert result["out"] == {(7,)}
+
+    def test_facts_as_rules(self):
+        program = Program()
+        program.rule(atom("edge", "a", "b"))
+        program.rule(atom("path", "X", "Y"), atom("edge", "X", "Y"))
+        assert_same(program)
+
+    def test_tuple_valued_constants(self):
+        program = Program()
+        program.rule(atom("p", "C"), atom("q", "C"))
+        program.add_facts("q", [((("a", "b"),))])
+        assert_same(program)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            "e(1).\np(X) :- e(X).\n",
+            "e(1). e(2).\np(X) :- e(X), !r(X).\nq(X) :- r(X).\n",
+            "e(1).\np(X) :- e(X).\nr(X) :- p(X).\n",
+        ],
+        ids=["unread", "read-and-negated", "also-a-head"],
+    )
+    def test_empty_fact_relation(self, rules):
+        # An empty fact relation has no row to give it an arity; like
+        # the interpreter, the kernels hide it unless a rule derives it.
+        program = parse_datalog(rules)
+        program.facts["r"] = set()
+        assert_same(program)
+
+
+class TestPointerAnalysisPrograms:
+    @pytest.mark.parametrize(
+        "compiler,flavour,m,h",
+        [
+            (compile_transformer_analysis, Flavour.CALL_SITE, 1, 1),
+            (compile_transformer_analysis, Flavour.OBJECT, 2, 1),
+            (compile_transformer_analysis_naive, Flavour.CALL_SITE, 1, 1),
+            (compile_context_string_analysis, Flavour.OBJECT, 2, 1),
+        ],
+    )
+    def test_matches_interpreter_on_figure1(self, compiler, flavour, m, h):
+        facts = facts_from_source(FIGURE_1)
+        compiled_analysis = compiler(facts, flavour, m, h)
+        assert_same(compiled_analysis.program, compiled_analysis.builtins)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_interpreter_on_fuzz(self, seed):
+        facts = generate_facts(random_program(seed, size=3))
+        compiled_analysis = compile_transformer_analysis(
+            facts, Flavour.CALL_SITE, 1, 1
+        )
+        assert_same(compiled_analysis.program, compiled_analysis.builtins)
+
+    def test_magic_transformed_program(self):
+        # The CI instantiation keeps the adorned program small enough
+        # for the (slow) interpreting reference run.
+        facts = facts_from_source(FIGURE_5)
+        compiled_analysis = compile_transformer_analysis(
+            facts, Flavour.CALL_SITE, 0, 0
+        )
+        magic, answer = magic_transform(
+            compiled_analysis.program, "pts__", ("T.m/h", None)
+        )
+        result = assert_same(magic)
+        assert result.get(answer)
+
+
+class TestEngineMechanics:
+    def test_stats(self):
+        engine = KernelEngine(_tc_program([(i, i + 1) for i in range(10)]))
+        engine.run()
+        assert engine.stats.facts_derived == 55
+        assert engine.stats.rounds >= 8
+
+    def test_generated_source_is_inspectable(self):
+        program = Program()
+        program.rule(atom("p", "X"), atom("q", "X"))
+        program.add_facts("q", [(1,)])
+        engine = KernelEngine(program)
+        assert "def _k0_v0" in engine.kernels.source
+        assert "out.append" in engine.kernels.source
+
+    def test_rerun_is_idempotent(self):
+        engine = KernelEngine(_tc_program([(1, 2), (2, 3)]))
+        assert engine.run()["path"] == engine.run()["path"]
+
+    def test_unsafe_negation_order_rejected_at_compile_time(self):
+        # Negation before its variables are bound: the interpreter fails
+        # at run time; the kernel compiler rejects at build time.
+        program = Program()
+        program.rules.append(
+            Rule(
+                Literal("p", (Var("X"),)),
+                (
+                    Literal("r", (Var("X"),), negated=True),
+                    Literal("q", (Var("X"),)),
+                ),
+            )
+        )
+        program.add_facts("q", [(1,)])
+        with pytest.raises(ValueError, match="unbound"):
+            KernelEngine(program)
 
 
 class TestInternProgram:

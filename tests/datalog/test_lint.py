@@ -408,10 +408,10 @@ class TestEngineStrictMode:
         assert evaluate(program, strict=True)["p"] == {(2,)}
 
     def test_compiled_engine_strict_mode(self):
-        from repro.datalog.codegen import CompiledEngine
+        from repro.datalog.kernel import KernelEngine
 
         with pytest.raises(LintError, match="DL002"):
-            CompiledEngine(unsafe_negation_program(), strict=True)
+            KernelEngine(unsafe_negation_program(), strict=True)
 
 
 # ---------------------------------------------------------------------------

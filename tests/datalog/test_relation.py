@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.relation import Relation
+from repro.store import Relation
 
 
 class TestRelation:

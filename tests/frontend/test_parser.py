@@ -33,6 +33,10 @@ class TestClassStructure:
         with pytest.raises(ValueError, match="unknown"):
             parse_program("class A extends Nope { }")
 
+    def test_inheritance_cycle_rejected(self):
+        with pytest.raises(ir.ProgramError, match="cycle through 'A'"):
+            parse_program("class A extends B { } class B extends A { }")
+
     def test_main_detected(self):
         p = parse_program(
             "class A { public static void main(String[] args) { } }"

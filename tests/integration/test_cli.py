@@ -581,6 +581,23 @@ class TestModuleEntryPoint:
             assert command in completed.stdout
 
 
+# Sources that parse but whose classes are malformed, with the reason
+# each ends in.  Every one declares a static main, so the reason is the
+# class structure alone.
+_MALFORMED_CLASSES = [
+    ("class T {\n  static void main(String[] a) { }\n}\nclass T { }\n",
+     "duplicate class 'T'"),
+    ("class T extends Nope {\n  static void main(String[] a) { }\n}\n",
+     "class 'T' extends unknown 'Nope'"),
+    ("class T extends U {\n  static void main(String[] a) { }\n}\n"
+     "class U extends T { }\n",
+     "inheritance cycle through 'T'"),
+]
+_MALFORMED_CLASS_IDS = [
+    "duplicate-class", "unknown-superclass", "inheritance-cycle",
+]
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("argv", [
         ["analyze", "MISSING"],
@@ -655,6 +672,55 @@ class TestUnreadableInput:
             " AssignLocal.facts:1: expected 2 columns, got 3"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "BAD"],
+        ["analyze", "--diff", "BAD", "GOOD"],
+        ["analyze", "--diff", "GOOD", "BAD"],
+        ["check", "BAD"],
+        ["emit", "BAD"],
+        ["query", "BAD", "--var", "T.main/x"],
+        ["serve", "BAD"],
+        ["facts", "BAD", "--out", "OUT"],
+    ], ids=["analyze", "analyze-diff-old", "analyze-diff-new", "check",
+            "emit", "query", "serve", "facts"])
+    @pytest.mark.parametrize("source,reason", [
+        ("class T {\n  static void main(String[] a) {\n"
+         "    T x = new T()\n  }\n}\n",
+         "expected ; (at line 4:3, got PUNCT('}')@4:3)"),
+        ("class T {\n  void m() { }\n}\n",
+         "program has no static main(String[]) entry point"),
+    ] + _MALFORMED_CLASSES, ids=["syntax-error", "no-main", "duplicate-class",
+            "unknown-superclass", "inheritance-cycle"])
+    def test_bad_java_source_is_one_line(self, argv, source, reason,
+                                         figure1_file, tmp_path, capsys):
+        bad = tmp_path / "bad.java"
+        bad.write_text(source)
+        paths = {"BAD": str(bad), "GOOD": figure1_file,
+                 "OUT": str(tmp_path / "out")}
+        with pytest.raises(SystemExit) as exit_info:
+            main([paths.get(arg, arg) for arg in argv])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro {argv[0]}: {bad}: {reason}"
+        ]
+
+    @pytest.mark.parametrize("source,reason", [
+        ("class T {\n  static void main(String[] a) {\n"
+         "    T x = new T()\n  }\n}\n",
+         "expected ; (at line 4:3, got PUNCT('}')@4:3)"),
+        ("class T { # }\n", "unexpected character '#' at line 1:11"),
+    ] + _MALFORMED_CLASSES, ids=["parse-error", "lex-error", "duplicate-class",
+            "unknown-superclass", "inheritance-cycle"])
+    def test_lint_reports_bad_java_source_as_syntax_error(
+        self, source, reason, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.java"
+        bad.write_text(source)
+        assert main(["lint", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[syntax] in {bad}: {reason}"
+        ]
+
     def test_undecodable_file_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "binary.java"
         path.write_bytes(b"\xff\xfe class T {}")
@@ -669,7 +735,7 @@ class TestUnreadableInput:
 
 
 class TestAnalyzeBackend:
-    @pytest.mark.parametrize("backend", ["engine", "compiled", "kernel"])
+    @pytest.mark.parametrize("backend", ["engine", "kernel"])
     def test_backend_parity_and_points_to(self, figure1_file, backend,
                                           capsys):
         assert main([

@@ -3,10 +3,10 @@
 Cost-ordered evaluation must be bit-identical to left-to-right source
 order on the full grid: both paper programs (Figure 1, Figure 5), both
 abstractions (transformer-string and context-string), the eight paper
-configurations, and every backend (interpreting engine, compiled
-backend, fused kernels).  The plan is computed once per cell and its
-rewrite shared by the three backends, exactly as the CLI and the bench
-harness consume it.
+configurations, and every backend (interpreting engine, fused
+kernels).  The plan is computed once per cell and its rewrite shared
+by the backends, exactly as the CLI and the bench harness consume
+it.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.compile.emit import (
     compile_transformer_analysis,
 )
 from repro.core.config import config_by_name
-from repro.datalog.codegen import CompiledEngine
 from repro.datalog.cost import analyze_cost
 from repro.datalog.engine import Engine
 from repro.datalog.kernel import KernelEngine
@@ -58,5 +57,4 @@ def test_cost_order_is_bit_identical(source, configuration, abstraction):
     ordered = analyze_cost(program, builtins=builtins).apply()
 
     assert Engine(ordered, builtins).run() == baseline
-    assert CompiledEngine(ordered, builtins).run() == baseline
     assert KernelEngine(ordered, builtins).run() == baseline

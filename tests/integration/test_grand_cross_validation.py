@@ -55,7 +55,7 @@ def test_all_datalog_paths_match_solver(workload, exhaustive):
     solver_cs = exhaustive[("1-call+H", "context-string")]
 
     specialized = compile_transformer_analysis(facts, Flavour.CALL_SITE, 1, 1)
-    for backend in ("interpreted", "compiled"):
+    for backend in ("interpreted", "kernel"):
         run = specialized.run(backend=backend)
         assert run.pts == solver_ts.pts, backend
         assert run.call == solver_ts.call, backend
@@ -68,7 +68,7 @@ def test_all_datalog_paths_match_solver(workload, exhaustive):
 
     strings = compile_context_string_analysis(
         facts, Flavour.CALL_SITE, 1, 1
-    ).run(backend="compiled")
+    ).run(backend="kernel")
     assert strings.pts == solver_cs.pts
     assert strings.call == solver_cs.call
 

@@ -55,7 +55,7 @@ class TestWorklist(object):
 
 
 class TestDatalogSurfaces:
-    @pytest.mark.parametrize("surface", ["engine", "compiled", "kernel"])
+    @pytest.mark.parametrize("surface", ["engine", "kernel"])
     def test_certified_with_compile_phase(self, luindex, surface):
         result = _run(surface, luindex)
         assert result.certified is True
