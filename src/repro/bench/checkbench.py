@@ -13,21 +13,17 @@ Two verdicts ride along with every sweep:
   (m, h), the client-level face of Theorem 6.2.
 
 :func:`run_precision_audit` sweeps one fact set (the ``repro check
---audit`` CLI); :func:`run_check_audit` sweeps the benchmark programs
-and becomes the additive ``checks`` block of the ``repro-figure6/9``
-JSON.
+--audit`` CLI).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkers import CheckConfig, run_checks
 from repro.core.analysis import analyze
 from repro.core.config import PAPER_CONFIGURATIONS, config_by_name
-from repro.bench.workloads import DACAPO_NAMES
 from repro.frontend.factgen import FactSet
-from repro.perf.registry import corpus_facts
 
 #: The audit's default configuration column set: the insensitive
 #: baseline first (the superset every other column is judged against),
@@ -38,8 +34,7 @@ AUDIT_CONFIGURATIONS: Tuple[str, ...] = (
 
 ABSTRACTIONS: Tuple[str, ...] = ("context-string", "transformer-string")
 
-#: Audit JSON sub-schema (embedded both in ``repro check --audit
-#: --json`` output and in the figure6 ``checks`` block).
+#: Schema of the ``repro check --audit --json`` document.
 AUDIT_SCHEMA = "repro-check-audit/1"
 
 
@@ -112,32 +107,6 @@ def run_precision_audit(
         "monotone": monotone,
         "abstractions_agree": agree,
     }
-
-
-def run_check_audit(
-    scale: int = 2,
-    benchmarks: Iterable[str] = DACAPO_NAMES,
-    configurations: Sequence[str] = AUDIT_CONFIGURATIONS,
-) -> Dict:
-    """The benchmark-suite audit (the figure6 ``checks`` block)."""
-    out: Dict = {
-        "schema": AUDIT_SCHEMA,
-        "scale": scale,
-        "configurations": list(configurations),
-        "benchmarks": {},
-    }
-    for name in benchmarks:
-        audit = run_precision_audit(
-            corpus_facts(name, scale),
-            configurations=configurations,
-        )
-        out["benchmarks"][name] = {
-            "checkers": audit["checkers"],
-            "cells": audit["cells"],
-            "monotone": audit["monotone"],
-            "abstractions_agree": audit["abstractions_agree"],
-        }
-    return out
 
 
 def format_audit(audit: Dict, title: str = "Precision audit") -> str:

@@ -18,10 +18,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.analysis import analyze
 from repro.core.config import PAPER_CONFIGURATIONS, config_by_name
-from repro.bench.workloads import DACAPO_NAMES
-from repro.frontend.factgen import FactSet
-from repro.perf.registry import corpus_facts
-from repro.perf.stats import best_of
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
+from repro.frontend.factgen import FactSet, generate_facts
 
 RELATIONS = ("pts", "hpts", "call")
 
@@ -78,13 +76,14 @@ class Cell:
 
 def _measure_solver(facts: FactSet, configuration: str, abstraction: str,
                     repetitions: int) -> Measurement:
-    result = None
-
-    def solve():
-        nonlocal result
-        result = analyze(facts, config_by_name(configuration, abstraction))
-
-    best = best_of(solve, repetitions)
+    """Min-of-N wall-clock seconds of the worklist solve: the minimum
+    is the run least disturbed by the machine."""
+    config = config_by_name(configuration, abstraction)
+    best = float("inf")
+    for _ in range(max(1, repetitions)):
+        start = time.perf_counter()
+        result = analyze(facts, config)
+        best = min(best, time.perf_counter() - start)
     return Measurement(
         sizes=result.relation_sizes(),
         ci_sizes=result.ci_sizes(),
@@ -222,7 +221,7 @@ def run_figure6(
     """
     table = Figure6()
     for benchmark in benchmarks:
-        facts = corpus_facts(benchmark, scale=scale)
+        facts = generate_facts(dacapo_program(benchmark, scale))
         for configuration in configurations:
             table.cells.append(
                 run_cell(facts, benchmark, configuration, repetitions,

@@ -117,28 +117,10 @@ def format_csv(table: Figure6) -> str:
 
 #: Schema identifier embedded in every JSON export; bump the suffix on
 #: breaking layout changes.  The layout is documented in ``docs/api.md``.
-#: ``/2`` adds the additive ``query_latency`` field (the service
-#: query-latency workload of :mod:`repro.bench.querybench`); ``/3``
-#: adds the additive ``incremental`` field (the edit-churn workload of
-#: :mod:`repro.bench.deltabench`); ``/4`` adds the additive ``checks``
-#: field (the client-checker precision audit of
-#: :mod:`repro.bench.checkbench`); ``/5`` added a ``parallel`` field
-#: (a sharded-fixpoint workload, removed again in ``/9``); ``/6`` adds
-#: the additive ``kernels`` field (the columnar kernel-backend workload
-#: of :mod:`repro.bench.kernelbench`: generic engine vs fused integer
-#: kernels, with parity); ``/7`` adds the additive ``serving`` field
-#: (the open-loop serving workload of :mod:`repro.bench.loadbench`:
-#: threaded ``repro-serve/1`` server vs asyncio ``repro-serve/2``
-#: gateway under fixed arrival rates, with steady-state latency
-#: percentiles, SLO attainment, overload behaviour, warm-start
-#: economics and response parity); ``/8`` adds the additive ``cost``
-#: field (the cost-ordered evaluation workload of
-#: :mod:`repro.bench.costbench`: source-order engine vs cost-ordered
-#: engine vs cost-ordered kernels, the DL5xx diagnostic counts, and the
-#: configuration-closure certificate); ``/9`` drops the ``parallel``
-#: field, the ``kernels`` block's ``sharded`` run and the ``cost``
-#: block's ``skew`` run.
-JSON_SCHEMA = "repro-figure6/9"
+#: ``/2`` to ``/9`` added and removed workload blocks beside the table
+#: (query latency, edit churn, checker audit, kernels, serving, cost);
+#: ``/10`` is the table alone: ``/9`` without those six keys.
+JSON_SCHEMA = "repro-figure6/10"
 
 
 def _measurement_json(measurement: Measurement) -> Dict:
@@ -158,49 +140,17 @@ def figure6_json(
     scale: Optional[int] = None,
     repetitions: Optional[int] = None,
     engine: Optional[str] = None,
-    query_latency: Optional[Dict] = None,
-    incremental: Optional[Dict] = None,
-    checks: Optional[Dict] = None,
-    kernels: Optional[Dict] = None,
-    serving: Optional[Dict] = None,
-    cost: Optional[Dict] = None,
 ) -> Dict:
-    """The table as a JSON-serializable dict (schema ``repro-figure6/9``).
+    """The table as a JSON-serializable dict (schema ``repro-figure6/10``).
 
     Top-level keys: ``schema``, the run parameters (``scale``,
     ``repetitions``, ``engine``; ``None`` when unknown), ``benchmarks``,
-    ``configurations``, ``cells``, ``geomean``, plus three additive
-    workload fields (``None`` when not measured): ``query_latency``
-    (new in ``/2``, the service query-latency workload of
-    :func:`repro.bench.querybench.run_query_latency`), ``incremental``
-    (new in ``/3``, the edit-churn workload of
-    :func:`repro.bench.deltabench.run_delta_churn`) and ``checks``
-    (new in ``/4``, the client-checker precision audit of
-    :func:`repro.bench.checkbench.run_check_audit`) and ``kernels``
-    (new in ``/6``, the columnar kernel-backend workload of
-    :func:`repro.bench.kernelbench.run_kernel_block`: generic engine vs
-    fused integer kernels, with exact parity) and ``serving`` (new in
-    ``/7``, the open-loop serving workload of
-    :func:`repro.bench.loadbench.run_serving_block`: threaded server vs
-    async gateway throughput and latency percentiles at fixed arrival
-    rates, overload behaviour and warm-start economics) and ``cost``
-    (new in ``/8``, the cost-ordered evaluation workload of
-    :func:`repro.bench.costbench.run_cost_block`: source-order engine
-    vs cost-ordered engine vs cost-ordered kernels with exact parity,
-    DL5xx diagnostic counts, and the configuration-closure certificate
-    summary).
-    Each cell carries
+    ``configurations``, ``cells`` and ``geomean``.  Each cell carries
     both abstractions' measurements (sizes, CI sizes, total, seconds,
     and per-relation store counters when available) plus the derived
     decrease percentages as fractions.
     """
     return {
-        "query_latency": query_latency,
-        "incremental": incremental,
-        "checks": checks,
-        "kernels": kernels,
-        "serving": serving,
-        "cost": cost,
         "schema": JSON_SCHEMA,
         "scale": scale,
         "repetitions": repetitions,
@@ -239,19 +189,11 @@ def format_json(
     scale: Optional[int] = None,
     repetitions: Optional[int] = None,
     engine: Optional[str] = None,
-    query_latency: Optional[Dict] = None,
-    incremental: Optional[Dict] = None,
-    checks: Optional[Dict] = None,
-    kernels: Optional[Dict] = None,
-    serving: Optional[Dict] = None,
-    cost: Optional[Dict] = None,
 ) -> str:
     """:func:`figure6_json` serialized (indented, trailing newline)."""
     return json.dumps(
         figure6_json(table, scale=scale, repetitions=repetitions,
-                     engine=engine, query_latency=query_latency,
-                     incremental=incremental, checks=checks,
-                     kernels=kernels, serving=serving, cost=cost),
+                     engine=engine),
         indent=2,
     ) + "\n"
 

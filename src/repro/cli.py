@@ -80,6 +80,22 @@ def _read_input(path: str, command: str) -> str:
         _input_error(command, f"cannot read {path}: {reason}")
 
 
+def _write_output(path: str, command: str, content) -> None:
+    """Write ``content`` to ``path``: text, or a callable that writes
+    whatever belongs at the path it is given.  An unwritable path ends
+    the run with ``repro COMMAND: cannot write PATH: REASON``."""
+    try:
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+    except OSError as error:
+        _input_error(
+            command, f"cannot write {path}: {error.strerror or error}"
+        )
+
+
 def _read_source_facts(path: str, command: str):
     """The facts of the Java source at ``path``.  A file that does not
     parse, whose classes are malformed (a duplicate, an undeclared
@@ -174,8 +190,7 @@ def cmd_analyze(args) -> int:
     if args.dot:
         from repro.core.graphviz import call_graph_dot
 
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(call_graph_dot(result))
+        _write_output(args.dot, args.command, call_graph_dot(result))
         print(f"wrote call-graph DOT to {args.dot}")
     if args.save_snapshot:
         from repro.service.snapshot import (
@@ -189,7 +204,10 @@ def cmd_analyze(args) -> int:
             for name, _arity in DERIVED_RELATIONS
         }
         snapshot = snapshot_from_relations(result.config, facts, relations)
-        write_snapshot(snapshot, args.save_snapshot)
+        _write_output(
+            args.save_snapshot, args.command,
+            lambda path: write_snapshot(snapshot, path),
+        )
         counts = snapshot.relation_counts()
         print(
             f"wrote snapshot to {args.save_snapshot}"
@@ -487,7 +505,8 @@ def cmd_facts(args) -> int:
     from repro.frontend.doopfacts import write_facts
 
     facts = _read_source_facts(args.source, args.command)
-    write_facts(facts, args.out)
+    _write_output(args.out, args.command,
+                  lambda path: write_facts(facts, path))
     print(f"wrote {sum(facts.counts().values())} facts to {args.out}")
     return 0
 
@@ -504,8 +523,7 @@ def cmd_emit(args) -> int:
     )
     text = format_program(compiled.program)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_output(args.out, args.command, text)
         print(
             f"wrote {len(compiled.program.rules)} Datalog rules to {args.out}"
         )
@@ -643,7 +661,9 @@ def cmd_check(args) -> int:
     if args.explain:
         _check_explain(service, checks, check_config)
     if args.json:
-        _write_json(args.json, report.to_json(), "check report")
+        _write_json(
+            args.json, report.to_json(), "check report", args.command
+        )
     fail_on = (
         None if args.fail_on == "never" else Severity.parse(args.fail_on)
     )
@@ -657,15 +677,14 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _write_json(path: str, document, label: str) -> None:
+def _write_json(path: str, document, label: str, command: str) -> None:
     import json
 
     text = json.dumps(document, indent=2) + "\n"
     if path == "-":
         print(text, end="")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_output(path, command, text)
         print(f"wrote {label} to {path}")
 
 
@@ -706,7 +725,7 @@ def _check_audit(args, checks, check_config) -> int:
     subject = args.source or args.facts_dir or "program"
     print(format_audit(audit, title=f"Precision audit ({subject})"))
     if args.json:
-        _write_json(args.json, audit, "audit JSON")
+        _write_json(args.json, audit, "audit JSON", args.command)
     healthy = (
         all(audit["monotone"].values()) and audit["abstractions_agree"]
     )
@@ -980,8 +999,6 @@ def cmd_lint(args) -> int:
         return _lint_snapshot(args.path)
     if _looks_like_check_report(args.path, source):
         return _lint_check_report(args.path)
-    if _looks_like_bench_document(args.path, source):
-        return _lint_bench_document(args.path)
     if _looks_like_cost_plan(args.path, source):
         return _lint_cost_plan(args.path)
     if _looks_like_kernel_cert(args.path, source):
@@ -1002,7 +1019,7 @@ def cmd_lint(args) -> int:
             "ok": not failed,
             "subjects": entries,
         }
-        _write_json(args.json, document, "lint report")
+        _write_json(args.json, document, "lint report", args.command)
     return 1 if failed else 0
 
 
@@ -1039,50 +1056,6 @@ def _lint_snapshot(path: str) -> int:
     print(f"  facts     {report['input_facts']} input facts")
     print(f"  relations {relations}")
     print("snapshot ok: 0 errors, 0 warnings")
-    return 0
-
-
-def _looks_like_bench_document(path: str, source: str) -> bool:
-    """Heuristic: JSON carrying the ``repro-bench/`` schema marker.
-
-    The marker includes the trailing slash, so trajectory files
-    (``repro-bench-trajectory/``) do not match and still lint as
-    ordinary JSON-free sources.  The whole source is scanned: rendered
-    documents sort ``schema`` after the (large) ``body`` key."""
-    stripped = source.lstrip()
-    return stripped.startswith("{") and '"repro-bench/' in stripped
-
-
-def _lint_bench_document(path: str) -> int:
-    """Self-check a ``repro-bench/1`` document: schema, digest,
-    fingerprint, entry-key consistency, warmup/steady split."""
-    from repro.perf import BenchDocumentError, describe_document
-
-    try:
-        report = describe_document(path)
-    except (BenchDocumentError, OSError) as error:
-        print(f"error[bench] in {path}: {error}", file=sys.stderr)
-        return 1
-    print(f"bench document: {path}")
-    print(f"  schema      {report['schema']}")
-    print(f"  suite       {report['suite']}")
-    print(f"  digest      {report['digest']} (verified)")
-    print(f"  commit      {report['commit'] or '(none)'}")
-    print(f"  fingerprint {report['fingerprint']}")
-    print(
-        f"  entries     {report['entries']}"
-        f" ({report['certified']} certified,"
-        f" {report['uncertified']} uncertified)"
-    )
-    print(f"  surfaces    {', '.join(report['surfaces'])}")
-    if report["uncertified"]:
-        print(
-            f"warning[bench] in {path}: {report['uncertified']}"
-            " entries are not certified against the worklist solver",
-            file=sys.stderr,
-        )
-    print("bench document ok: 0 errors,"
-          f" {1 if report['uncertified'] else 0} warnings")
     return 0
 
 
@@ -1265,243 +1238,15 @@ def cmd_figure6(args) -> int:
         table, title=f"Figure 6 (synthetic analogues, scale={args.scale})"
     ))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(format_csv(table))
+        _write_output(args.csv, args.command, format_csv(table))
         print(f"\nwrote CSV to {args.csv}")
     if args.json:
-        query_latency = None
-        if not args.no_query_latency:
-            from repro.bench.querybench import run_query_latency
-
-            query_latency = run_query_latency(scale=args.scale)
-        incremental = None
-        if not args.no_incremental:
-            from repro.bench.deltabench import run_delta_churn
-
-            incremental = run_delta_churn(scale=args.scale)
-        checks = None
-        if not args.no_checks:
-            from repro.bench.checkbench import run_check_audit
-
-            checks = run_check_audit(scale=args.scale)
-        kernels = None
-        if not args.no_kernels:
-            from repro.bench.kernelbench import (
-                format_kernels, run_kernel_block,
-            )
-
-            kernels = run_kernel_block(scale=args.scale)
-            print()
-            print(format_kernels(kernels))
-        serving = None
-        if not args.no_serving:
-            from repro.bench.loadbench import (
-                format_serving, run_serving_block,
-            )
-
-            serving = run_serving_block(scale=args.scale)
-            print()
-            print(format_serving(serving))
-        cost = None
-        if not args.no_cost:
-            from repro.bench.costbench import format_cost, run_cost_block
-
-            cost = run_cost_block(scale=args.scale)
-            print()
-            print(format_cost(cost))
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(format_json(
-                table, scale=args.scale, repetitions=args.repetitions,
-                engine="solver", query_latency=query_latency,
-                incremental=incremental, checks=checks,
-                kernels=kernels, serving=serving, cost=cost,
-            ))
+        _write_output(args.json, args.command, format_json(
+            table, scale=args.scale, repetitions=args.repetitions,
+            engine="solver",
+        ))
         print(f"\nwrote JSON to {args.json}")
     return 0
-
-
-def cmd_bench(args) -> int:
-    handlers = {
-        "run": _bench_run,
-        "compare": _bench_compare,
-        "gate": _bench_gate,
-        "record": _bench_record,
-        "trend": _bench_trend,
-    }
-    return handlers[args.bench_command](args)
-
-
-def _bench_run(args) -> int:
-    """``bench run``: execute a named suite; emit ``repro-bench/1``."""
-    from repro.perf import (
-        SUITES,
-        bench_document,
-        render_document,
-        run_suite,
-        validate_document,
-    )
-
-    suite = SUITES[args.suite]
-    results = run_suite(
-        suite,
-        progress=(
-            None if args.quiet
-            else lambda key: print(f"  running {key}", flush=True)
-        ),
-    )
-    document = bench_document(suite, results)
-    validate_document(document)
-    body = document["body"]
-    certified = sum(1 for r in results if r.certified)
-    print(
-        f"bench run: suite {suite.name}, {len(results)} entries over"
-        f" {len(suite.surfaces())} surfaces,"
-        f" {certified}/{len(results)} certified"
-    )
-    for result in results:
-        verdict = "certified" if result.certified else "UNCERTIFIED"
-        print(f"  {result.key:<40} best {result.best():.4f}s ({verdict})")
-    print(
-        f"  commit {body['environment']['commit'] or '(none)'}"
-        f"  fingerprint {body['environment']['fingerprint']}"
-    )
-    if args.json:
-        text = render_document(document)
-        if args.json == "-":
-            print(text, end="")
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote bench document to {args.json}")
-    return 0 if certified == len(results) else 1
-
-
-def _bench_load(path: str):
-    from repro.perf import BenchDocumentError, load_document
-
-    try:
-        return load_document(path)
-    except (OSError, BenchDocumentError) as error:
-        print(f"repro bench: {path}: {error}", file=sys.stderr)
-        return None
-
-
-def _bench_compare(args) -> int:
-    """``bench compare``: side-by-side entries, no verdicts."""
-    from repro.perf import compare_documents
-    from repro.perf.gate import format_compare
-
-    current = _bench_load(args.current)
-    baseline = _bench_load(args.baseline)
-    if current is None or baseline is None:
-        return 1
-    mode, rows = compare_documents(current, baseline)
-    print(format_compare(mode, rows))
-    return 0
-
-
-def _bench_gate(args) -> int:
-    """``bench gate``: threshold a run against the committed baseline.
-
-    Exits 1 on any regression (timing, lost certification, or a
-    dropped entry).  ``--update-baseline`` re-pins instead of gating.
-    """
-    from repro.perf import gate_documents, render_document
-    from repro.perf.gate import format_gate
-
-    current = _bench_load(args.current)
-    if current is None:
-        return 1
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_document(current))
-        print(f"bench gate: baseline re-pinned at {args.baseline}")
-        return 0
-    baseline = _bench_load(args.baseline)
-    if baseline is None:
-        return 1
-    per_entry = {}
-    for override in args.entry_tolerance or ():
-        key, _, value = override.rpartition("=")
-        try:
-            per_entry[key] = float(value)
-        except ValueError:
-            print(
-                f"repro bench: bad --entry-tolerance {override!r}"
-                " (want KEY=FLOAT)",
-                file=sys.stderr,
-            )
-            return 1
-    outcome = gate_documents(
-        current, baseline,
-        tolerance=args.tolerance,
-        per_entry_tolerance=per_entry,
-        inject_slowdown=args.inject_slowdown,
-    )
-    print(format_gate(outcome))
-    return 0 if outcome.passed else 1
-
-
-def _bench_record(args) -> int:
-    """``bench record``: append a certified trajectory point."""
-    import time as _time
-
-    from repro.perf import (
-        TrajectoryError,
-        append_point,
-        trajectory_point,
-    )
-
-    document = _bench_load(args.document)
-    if document is None:
-        return 1
-    point = trajectory_point(document)
-    if not point["certified"]:
-        uncertified = [
-            key for key, entry in point["entries"].items()
-            if not entry["certified"]
-        ]
-        print(
-            "repro bench: refusing to record an uncertified point"
-            f" (not bit-identical to the worklist solver:"
-            f" {', '.join(uncertified)})",
-            file=sys.stderr,
-        )
-        return 1
-    path = args.trajectory or _time.strftime("BENCH_%Y-%m-%d.json")
-    try:
-        append_point(path, point, description=args.description)
-    except TrajectoryError as error:
-        print(f"repro bench: {error}", file=sys.stderr)
-        return 1
-    print(
-        f"recorded certified point {point['run_id']}"
-        f" (commit {(point['commit'] or '?')[:8]}) in {path}"
-    )
-    return 0
-
-
-def _bench_trend(args) -> int:
-    """``bench trend``: render trajectory files (v1 migrated)."""
-    import glob as _glob
-
-    from repro.perf import TrajectoryError, format_trend, load_trajectory
-
-    paths = args.paths or sorted(_glob.glob("BENCH_*.json"))
-    if not paths:
-        print("repro bench: no trajectory files found", file=sys.stderr)
-        return 1
-    status = 0
-    for path in paths:
-        try:
-            document = load_trajectory(path)
-        except (OSError, TrajectoryError) as error:
-            print(f"repro bench: {path}: {error}", file=sys.stderr)
-            status = 1
-            continue
-        print(f"{path}:")
-        print(format_trend(document))
-    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1796,113 +1541,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--json",
         help="also write machine-readable JSON here"
-        " (schema repro-figure6/9, see docs/api.md)",
-    )
-    p_fig.add_argument(
-        "--no-query-latency", action="store_true",
-        help="omit the service query-latency workload from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-incremental", action="store_true",
-        help="omit the incremental edit-churn workload from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-checks", action="store_true",
-        help="omit the client-checker precision audit from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-kernels", action="store_true",
-        help="omit the kernel-backend workload from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-serving", action="store_true",
-        help="omit the open-loop serving workload from the JSON",
-    )
-    p_fig.add_argument(
-        "--no-cost", action="store_true",
-        help="omit the cost-ordered evaluation workload from the JSON",
+        " (schema repro-figure6/10, see docs/api.md)",
     )
     p_fig.set_defaults(func=cmd_figure6)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark corpus: run suites, gate regressions, record"
-        " trajectory points",
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    b_run = bench_sub.add_parser(
-        "run", help="execute a named suite (emits repro-bench/1)"
-    )
-    b_run.add_argument(
-        "--suite", default="smoke", choices=("smoke", "micro", "corpus"),
-        help="which suite to run (default: smoke)",
-    )
-    b_run.add_argument(
-        "--json",
-        help="write the repro-bench/1 document here ('-' for stdout)",
-    )
-    b_run.add_argument(
-        "--quiet", action="store_true", help="no per-cell progress lines",
-    )
-
-    b_compare = bench_sub.add_parser(
-        "compare", help="side-by-side entries of two bench documents"
-    )
-    b_compare.add_argument("current", help="repro-bench/1 document")
-    b_compare.add_argument(
-        "baseline", nargs="?", default="benchmarks/baseline.json",
-        help="baseline document (default: benchmarks/baseline.json)",
-    )
-
-    b_gate = bench_sub.add_parser(
-        "gate", help="fail (exit 1) on regressions against the baseline"
-    )
-    b_gate.add_argument("current", help="repro-bench/1 document to gate")
-    b_gate.add_argument(
-        "--baseline", default="benchmarks/baseline.json",
-        help="committed baseline (default: benchmarks/baseline.json)",
-    )
-    b_gate.add_argument(
-        "--tolerance", type=float, default=1.0,
-        help="allowed slowdown fraction per entry (default: 1.0 = 2x)",
-    )
-    b_gate.add_argument(
-        "--entry-tolerance", action="append", metavar="KEY=FLOAT",
-        help="per-entry tolerance override (repeatable)",
-    )
-    b_gate.add_argument(
-        "--inject-slowdown", type=float, default=1.0, metavar="FACTOR",
-        help="multiply non-reference timings before gating (CI"
-        " self-test that the gate can fail)",
-    )
-    b_gate.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-pin the baseline from the current document instead"
-        " of gating",
-    )
-
-    b_record = bench_sub.add_parser(
-        "record",
-        help="append a certified trajectory point to BENCH_<date>.json",
-    )
-    b_record.add_argument("document", help="repro-bench/1 document")
-    b_record.add_argument(
-        "--trajectory",
-        help="trajectory file (default: BENCH_<today>.json)",
-    )
-    b_record.add_argument(
-        "--description", help="set the trajectory file's description",
-    )
-
-    b_trend = bench_sub.add_parser(
-        "trend", help="render trajectory files (v1 files migrated)"
-    )
-    b_trend.add_argument(
-        "paths", nargs="*",
-        help="trajectory files (default: BENCH_*.json in cwd)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

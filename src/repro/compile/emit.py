@@ -63,7 +63,6 @@ class CompiledAnalysis:
 
     def run(
         self, backend: str = "interpreted", eliminate_dead: bool = False,
-        cost_order: bool = False,
     ) -> "CompiledResult":
         """Evaluate the program.
 
@@ -80,11 +79,6 @@ class CompiledAnalysis:
         by construction (tested).  The kernel backend always does this
         itself, but only with ``eliminate_dead=True`` do the dead rules'
         heads drop out of the raw results.
-
-        ``cost_order=True`` evaluates the cost-chosen body orders of
-        :mod:`repro.datalog.cost` instead of the emitted source order —
-        also bit-identical by construction (tested across the full
-        configuration sweep).
         """
         program = self.program
         if eliminate_dead:
@@ -92,13 +86,11 @@ class CompiledAnalysis:
 
             program, _ = eliminate_dead_rules(program, self.builtins)
         if backend == "interpreted":
-            engine = Engine(program, self.builtins, cost_order=cost_order)
+            engine = Engine(program, self.builtins)
         elif backend == "kernel":
             from repro.datalog.kernel import KernelEngine
 
-            engine = KernelEngine(
-                program, self.builtins, cost_order=cost_order
-            )
+            engine = KernelEngine(program, self.builtins)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         raw = engine.run()

@@ -25,11 +25,11 @@ analyzes the program *before* running it:
 
 The result is a :class:`CostPlan`: the chosen order and cost for every
 rule, a byte-stable ``repro-cost-plan/1`` document, DL5xx diagnostics
-with line/col witnesses, and :func:`reorder_program` — the rewrite the
-engines apply under ``cost_order=True``.  Because both backends
-evaluate bodies in author order, applying a legal permutation is a pure
-program rewrite with bit-identical results (tested across the full
-figure1/figure5 configuration sweep).
+with line/col witnesses, and :func:`reorder_program` — the rewrite a
+caller applies before handing the program to an engine.  Because both
+backends evaluate bodies in author order, applying a legal permutation
+is a pure program rewrite with bit-identical results (tested across the
+full figure1/figure5 configuration sweep).
 
 Diagnostic codes (all advisory — not part of ``lint_program``'s default
 pass list):

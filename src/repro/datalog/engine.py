@@ -65,20 +65,10 @@ class Engine:
         program: Program,
         builtins: Optional[Dict[str, BuiltinFn]] = None,
         strict: bool = False,
-        cost_order: bool = False,
     ):
         self.builtins: Dict[str, BuiltinFn] = dict(DEFAULT_BUILTINS)
         if builtins:
             self.builtins.update(builtins)
-        if cost_order:
-            # Rewrite each rule body into the cost-chosen join order
-            # (a legal permutation under the same left-to-right binding
-            # discipline, so results are bit-identical — the index plan
-            # below then serves the *chosen* probes).
-            from repro.datalog.cost import reorder_program
-
-            program = reorder_program(program, builtins=self.builtins)
-        self.cost_ordered = cost_order
         if strict:
             # Full semantic analysis up front: rejects programs the
             # basic validate() accepts but that would fail mid-join
@@ -363,7 +353,6 @@ class Engine:
 
 def evaluate(
     program: Program, builtins=None, strict: bool = False,
-    cost_order: bool = False,
 ) -> Dict[str, Set[Tuple]]:
     """One-shot evaluation convenience wrapper."""
-    return Engine(program, builtins, strict=strict, cost_order=cost_order).run()
+    return Engine(program, builtins, strict=strict).run()

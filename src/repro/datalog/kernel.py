@@ -160,19 +160,10 @@ class KernelEngine:
         program: Program,
         builtins: Optional[Dict[str, BuiltinFn]] = None,
         strict: bool = False,
-        cost_order: bool = False,
     ):
         self.builtins: Dict[str, BuiltinFn] = dict(DEFAULT_BUILTINS)
         if builtins:
             self.builtins.update(builtins)
-        if cost_order:
-            # Lower the cost-chosen body orders into the kernels: the
-            # rewrite happens before interning, so every generated
-            # probe (and the index set it implies) follows the plan.
-            from repro.datalog.cost import reorder_program
-
-            program = reorder_program(program, builtins=self.builtins)
-        self.cost_ordered = cost_order
         if strict:
             from repro.datalog.lint import lint_program
 
@@ -341,9 +332,6 @@ class KernelEngine:
 
 def evaluate_kernel(
     program: Program, builtins=None, strict: bool = False,
-    cost_order: bool = False,
 ) -> Dict[str, Set[Tuple]]:
     """One-shot kernel-backend evaluation convenience wrapper."""
-    return KernelEngine(
-        program, builtins, strict=strict, cost_order=cost_order
-    ).run()
+    return KernelEngine(program, builtins, strict=strict).run()

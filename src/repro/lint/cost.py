@@ -22,8 +22,8 @@ and report one coded diagnostic per finding:
 This pass is *advisory about the plan*, not about program
 correctness, so it is not part of the default
 :func:`repro.datalog.lint.lint_program` pass list; the CLI runs it
-under ``repro lint --cost``, and the engines consume the same
-:class:`~repro.datalog.cost.CostPlan` under ``cost_order=True``.
+under ``repro lint --cost``, and :meth:`~repro.datalog.cost.CostPlan.apply`
+rewrites a program into the plan's join orders before evaluation.
 """
 
 from __future__ import annotations

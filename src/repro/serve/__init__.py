@@ -18,9 +18,9 @@ the layer above it, built for many programs and many clients at once:
   of compatible operations per tenant, bounded queues with explicit
   overload responses, per-op latency percentiles and graceful drain.
 
-``repro serve --async`` is the CLI entry;
-:mod:`repro.bench.loadbench` prices the gateway against the threaded
-``repro-serve/1`` server under open-loop load.
+``repro serve --async`` is the CLI entry; the ``serve-mixed`` workload
+of ``benchmarks/e2e`` times the gateway under mixed reads, updates and
+checks.
 """
 
 from repro.serve.gateway import (

@@ -30,6 +30,54 @@ class TestDeterminism:
         assert fa.virtual_invoke != fb.virtual_invoke
 
 
+class TestFactDigest:
+    """Benchmark inputs are stable by construction: the same benchmark
+    and scale give a byte-identical fact set across invocations, so two
+    runs always measure the same input."""
+
+    @pytest.mark.parametrize("name", DACAPO_NAMES)
+    def test_stable_across_invocations(self, name):
+        assert (
+            generate_facts(dacapo_program(name, 1)).digest()
+            == generate_facts(dacapo_program(name, 1)).digest()
+        )
+
+    def test_scale_changes_the_digest(self):
+        assert (
+            generate_facts(dacapo_program("bloat", 1)).digest()
+            != generate_facts(dacapo_program("bloat", 2)).digest()
+        )
+
+    def test_benchmarks_have_distinct_digests(self):
+        digests = {
+            name: generate_facts(dacapo_program(name, 1)).digest()
+            for name in DACAPO_NAMES
+        }
+        assert len(set(digests.values())) == len(digests)
+
+    def test_sensitive_to_rows(self):
+        facts_a = generate_facts(dacapo_program("luindex", 1))
+        facts_b = generate_facts(dacapo_program("luindex", 1))
+        assert facts_a.digest() == facts_b.digest()
+        facts_b.assign.add(("extra/x", "extra/y"))
+        assert facts_a.digest() != facts_b.digest()
+
+    def test_sensitive_to_auxiliary_maps(self):
+        facts_a = generate_facts(dacapo_program("luindex", 1))
+        facts_b = generate_facts(dacapo_program("luindex", 1))
+        facts_b.class_of["extra/h"] = "Extra"
+        assert facts_a.digest() != facts_b.digest()
+
+    def test_insertion_order_is_irrelevant(self):
+        facts = generate_facts(dacapo_program("luindex", 1))
+        digest = facts.digest()
+        rows = sorted(facts.assign)
+        facts.assign.clear()
+        for row in reversed(rows):
+            facts.assign.add(row)
+        assert facts.digest() == digest
+
+
 class TestStructure:
     def test_all_benchmarks_validate(self):
         for name in DACAPO_NAMES:

@@ -1,7 +1,8 @@
 """The acceptance sweep: precision monotonicity and abstraction parity.
 
-Two properties, checked over figure1 / figure5 / the event-bus program,
-the full paper configuration matrix, and both abstractions:
+Two properties, checked over figure1 / figure5 / the event-bus program /
+the seven DaCapo analogues at scale 1, the full paper configuration
+matrix, and both abstractions:
 
 * per checker, every context-sensitive configuration's finding
   identities are a subset of the insensitive baseline's — precision can
@@ -20,18 +21,25 @@ from repro.bench.checkbench import (
     format_audit,
     run_precision_audit,
 )
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
 from repro.checkers import checker_names, run_checks
 from repro.core.analysis import analyze
 from repro.core.config import config_by_name
-from repro.frontend.factgen import facts_from_source
+from repro.frontend.factgen import facts_from_source, generate_facts
 from repro.frontend.paper_programs import FIGURE_1, FIGURE_5
 
 from tests.checkers.test_checks import _example_program
 
 PROGRAMS = {
-    "figure1": FIGURE_1,
-    "figure5": FIGURE_5,
-    "eventbus": _example_program(),
+    "figure1": lambda: facts_from_source(FIGURE_1),
+    "figure5": lambda: facts_from_source(FIGURE_5),
+    "eventbus": lambda: facts_from_source(_example_program()),
+    **{
+        f"{name}-s1": (
+            lambda name=name: generate_facts(dacapo_program(name, 1))
+        )
+        for name in DACAPO_NAMES
+    },
 }
 
 CONFIGURATIONS = AUDIT_CONFIGURATIONS  # insensitive first, then paper's
@@ -39,7 +47,12 @@ CONFIGURATIONS = AUDIT_CONFIGURATIONS  # insensitive first, then paper's
 
 @pytest.fixture(scope="module", params=sorted(PROGRAMS))
 def program_facts(request):
-    return request.param, facts_from_source(PROGRAMS[request.param])
+    return request.param, PROGRAMS[request.param]()
+
+
+def test_audit_configurations_start_from_the_baseline():
+    assert AUDIT_CONFIGURATIONS[0] == "insensitive"
+    assert "2-object+H" in AUDIT_CONFIGURATIONS
 
 
 def _reports(facts):

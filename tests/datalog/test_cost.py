@@ -357,12 +357,6 @@ class TestApplyParity:
         assert Engine(ordered).run() == baseline
         assert KernelEngine(ordered).run() == baseline
 
-    def test_engine_cost_order_flag(self):
-        program = self._program()
-        engine = Engine(program, cost_order=True)
-        assert engine.cost_ordered
-        assert engine.run() == Engine(self._program()).run()
-
     def test_apply_preserves_rule_count_and_facts(self):
         program = self._program()
         ordered = reorder_program(program)

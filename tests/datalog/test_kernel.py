@@ -2,8 +2,9 @@
 
 The acceptance criterion for the kernel compiler: the fused integer
 kernels are bit-identical to the worklist solver across Figure 1 and
-Figure 5, both abstractions, and the full (flavour, m, h) grid, and to
-the interpreting engine on every program shape the repository uses —
+Figure 5, both abstractions, and the full (flavour, m, h) grid, on every
+cell of the Figure 6 table (the seven DaCapo analogues at scale 1), and
+to the interpreting engine on every program shape the repository uses —
 classic recursion, negation, builtins, the pointer-analysis
 instantiations, magic-set transforms and random fuzz programs — plus
 engine-level behaviour (stats, reruns, strict lint).
@@ -13,12 +14,13 @@ import pytest
 
 from repro import analyze
 from repro.bench.fuzz import random_program
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
 from repro.compile.emit import (
     compile_context_string_analysis,
     compile_transformer_analysis,
     compile_transformer_analysis_naive,
 )
-from repro.core.config import config_by_name
+from repro.core.config import PAPER_CONFIGURATIONS, config_by_name
 from repro.core.sensitivity import Flavour
 from repro.datalog.ast import Literal, Program, Rule, Var, atom, negated
 from repro.datalog.builtins import function_builtin
@@ -56,6 +58,42 @@ def test_kernel_backend_matches_worklist_solver(source, abstraction, name):
     for relation in ("pts", "hpts", "call", "reach", "spts", "texc"):
         assert getattr(result, relation) == getattr(solver, relation), (
             abstraction, name, relation,
+        )
+
+
+_DACAPO_FACTS = {}
+
+
+def _dacapo_facts(workload):
+    if workload not in _DACAPO_FACTS:
+        _DACAPO_FACTS[workload] = generate_facts(dacapo_program(workload, 1))
+    return _DACAPO_FACTS[workload]
+
+
+# The workload varies fastest, so the live rule sets of one cell's
+# seven programs share the process compile cache.
+@pytest.mark.parametrize("workload", DACAPO_NAMES)
+@pytest.mark.parametrize("abstraction", ["ts", "cs"])
+@pytest.mark.parametrize("name", PAPER_CONFIGURATIONS)
+def test_kernel_backend_matches_worklist_on_figure6_table(
+    name, abstraction, workload,
+):
+    facts = _dacapo_facts(workload)
+    config = config_by_name(
+        name,
+        "transformer-string" if abstraction == "ts" else "context-string",
+    )
+    compiler = (
+        compile_transformer_analysis
+        if abstraction == "ts"
+        else compile_context_string_analysis
+    )
+    compiled = compiler(facts, config.flavour, config.m, config.h)
+    solver = analyze(facts, config)
+    result = compiled.run(backend="kernel")
+    for relation in ("pts", "hpts", "call", "reach", "spts", "texc"):
+        assert getattr(result, relation) == getattr(solver, relation), (
+            workload, abstraction, name, relation,
         )
 
 

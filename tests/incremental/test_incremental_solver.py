@@ -2,17 +2,22 @@
 solves under random edit churn, DRed counters, and the fallback paths.
 
 The sweep is the subsystem's acceptance bar: for the paper's example
-programs under both abstractions and all three context flavours, a
-random sequence of edits applied incrementally must leave every derived
-relation identical to a from-scratch solve after *each* edit.
+programs under both abstractions and all three context flavours, and for
+the seven DaCapo analogues at 2-object+H, a random sequence of edits
+applied incrementally must leave every derived relation identical to a
+from-scratch solve after *each* edit.
 """
+
+import time
 
 import pytest
 
-from repro.core.analysis import _to_facts
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
+from repro.core.analysis import PointerAnalysis, _to_facts
 from repro.core.config import config_by_name
 from repro.core.domains import make_domain
 from repro.core.solver import Solver
+from repro.frontend.factgen import generate_facts
 from repro.frontend.paper_programs import FIGURE_1, FIGURE_5
 from repro.incremental import FactDelta, IncrementalSolver, copy_facts
 from repro.incremental.edits import random_edits
@@ -64,6 +69,30 @@ def test_equivalence_sweep(program, flavour, abstraction):
             )
 
 
+@pytest.mark.parametrize("abstraction", ABSTRACTIONS)
+@pytest.mark.parametrize("workload", DACAPO_NAMES)
+def test_equivalence_on_dacapo_analogues(workload, abstraction):
+    """12 random edits to a scale-1 analogue at 2-object+H: each is
+    maintained without a fallback re-solve and is bit-identical to a
+    scratch solve."""
+    base = generate_facts(dacapo_program(workload, 1))
+    config = config_by_name("2-object+H", abstraction)
+    solver = IncrementalSolver(copy_facts(base), config)
+    rolling = copy_facts(base)
+    for step, (kind, delta) in enumerate(random_edits(base, 12, seed=0)):
+        delta.apply_to(rolling)
+        outcome = solver.apply_delta(delta)
+        assert not outcome.fallback, (workload, abstraction, step, kind)
+        want = scratch_rows(copy_facts(rolling), config)
+        got = solver.relation_rows()
+        for relation in DERIVED:
+            assert got[relation] == want[relation], (
+                f"{workload}/{abstraction} edit {step} ({kind}):"
+                f" {relation} diverged"
+            )
+    assert solver.stats.fallback_solves == 0
+
+
 class TestDeltaResult:
     def test_addition_reports_net_changes(self):
         facts = _to_facts(FIGURE_5)
@@ -112,6 +141,29 @@ class TestDeltaResult:
         assert solver.relation_rows() == scratch_rows(
             delta.applied_copy(base), config
         )
+
+    def test_single_edit_beats_a_scratch_solve(self):
+        # One added assignment to Figure 5, best of 15 on both sides:
+        # maintaining the fixpoint must be at least 3x cheaper than
+        # solving the edited program from scratch.  The floor is loose
+        # so timer noise on a sub-millisecond edit cannot flake it.
+        base = _to_facts(FIGURE_5)
+        config = config_by_name("1-call", "transformer-string")
+        edited = FactDelta().add("assign", ("T.m/h", "T.m/x")).applied_copy(
+            base
+        )
+        incremental = scratch = float("inf")
+        for _ in range(15):
+            solver = IncrementalSolver(copy_facts(base), config)
+            outcome = solver.apply_delta(
+                FactDelta().add("assign", ("T.m/h", "T.m/x"))
+            )
+            incremental = min(incremental, outcome.seconds)
+            facts = copy_facts(edited)
+            start = time.perf_counter()
+            PointerAnalysis(facts, config).run()
+            scratch = min(scratch, time.perf_counter() - start)
+        assert scratch >= 3 * incremental, (incremental, scratch)
 
     def test_stats_accumulate(self):
         facts = _to_facts(FIGURE_5)

@@ -150,18 +150,15 @@ class TestFigure6Command:
         out_file = tmp_path / "figure6.json"
         assert main([
             "figure6", "--scale", "1", "--json", str(out_file),
-            "--no-query-latency", "--no-incremental", "--no-checks",
-            "--no-kernels", "--no-serving",
         ]) == 0
         assert "wrote JSON" in capsys.readouterr().out
         data = json.loads(out_file.read_text())
-        assert data["schema"] == "repro-figure6/9"
-        assert data["query_latency"] is None  # suppressed by the flag
-        assert data["incremental"] is None  # suppressed by the flag
-        assert data["checks"] is None  # suppressed by the flag
-        assert "parallel" not in data  # removed in /9
-        assert data["kernels"] is None  # suppressed by the flag
-        assert data["serving"] is None  # suppressed by the flag
+        assert data["schema"] == "repro-figure6/10"
+        # The table alone: no workload blocks beside it.
+        assert set(data) == {
+            "schema", "scale", "repetitions", "engine", "benchmarks",
+            "configurations", "cells", "geomean",
+        }
         assert data["scale"] == 1
         assert data["engine"] == "solver"
         assert set(data["geomean"]) == set(data["configurations"])
@@ -174,33 +171,6 @@ class TestFigure6Command:
             assert measurement["seconds"] > 0
             assert measurement["counters"]["pts"]["inserts"] > 0
         assert set(cell["size_decrease"]) == {"pts", "hpts", "call"}
-
-    def test_json_query_latency(self, tmp_path, capsys):
-        import json
-
-        out_file = tmp_path / "figure6.json"
-        assert main([
-            "figure6", "--scale", "1", "--json", str(out_file),
-        ]) == 0
-        capsys.readouterr()
-        data = json.loads(out_file.read_text())
-        latency = data["query_latency"]
-        assert latency["configuration"] == "2-object+H"
-        for benchmark, entry in latency["benchmarks"].items():
-            assert entry["warm"]["points_to"]["count"] > 0, benchmark
-            assert entry["cold"]["points_to"]["count"] > 0, benchmark
-        incremental = data["incremental"]
-        assert incremental["single_edit"]["speedup"] > 0
-        for benchmark, churn in incremental["benchmarks"].items():
-            assert churn["edits"] > 0, benchmark
-            assert churn["fallbacks"] == 0, benchmark
-        checks = data["checks"]
-        assert checks["schema"] == "repro-check-audit/1"
-        assert checks["configurations"][0] == "insensitive"
-        for benchmark, audit in checks["benchmarks"].items():
-            assert audit["abstractions_agree"], benchmark
-            assert all(audit["monotone"].values()), benchmark
-            assert audit["cells"], benchmark
 
 
 class TestSnapshotWorkflow:
@@ -731,6 +701,49 @@ class TestUnreadableInput:
         assert err.splitlines() == [
             f"repro analyze: cannot read {path}: 'utf-8' codec can't"
             " decode byte 0xff in position 0: invalid start byte"
+        ]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv,reason", [
+        (["analyze", "FIG1", "--dot", "MISSING"],
+         "No such file or directory"),
+        (["analyze", "FIG1", "--save-snapshot", "MISSING"],
+         "No such file or directory"),
+        (["emit", "FIG1", "--out", "MISSING"], "No such file or directory"),
+        (["facts", "FIG1", "--out", "UNDER_FILE"], "Not a directory"),
+        (["check", "FIG1", "--json", "MISSING"],
+         "No such file or directory"),
+        (["check", "FIG1", "--audit", "--json", "MISSING"],
+         "No such file or directory"),
+        (["lint", "FIG1", "--json", "MISSING"], "No such file or directory"),
+        (["figure6", "--scale", "1", "--csv", "MISSING"],
+         "No such file or directory"),
+        (["figure6", "--scale", "1", "--json", "MISSING"],
+         "No such file or directory"),
+    ], ids=["analyze-dot", "analyze-save-snapshot", "emit-out", "facts-out",
+            "check-json", "check-audit-json", "lint-json", "figure6-csv",
+            "figure6-json"])
+    def test_one_stderr_line_and_exit_1(self, argv, reason, figure1_file,
+                                        tmp_path):
+        import subprocess
+        import sys
+
+        (tmp_path / "file").write_text("")
+        paths = {
+            "FIG1": figure1_file,
+            "MISSING": str(tmp_path / "missing" / "out"),
+            "UNDER_FILE": str(tmp_path / "file" / "out"),
+        }
+        target = paths[argv[-1]]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + [paths.get(arg, arg) for arg in argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [
+            f"repro {argv[0]}: cannot write {target}: {reason}"
         ]
 
 

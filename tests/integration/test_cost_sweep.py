@@ -5,21 +5,23 @@ order on the full grid: both paper programs (Figure 1, Figure 5), both
 abstractions (transformer-string and context-string), the eight paper
 configurations, and every backend (interpreting engine, fused
 kernels).  The plan is computed once per cell and its rewrite shared
-by the backends, exactly as the CLI and the bench harness consume
-it.
+by the backends.  On the seven DaCapo analogues at 1-call+H, the
+cost-ordered kernels must decode to the worklist solver's relations.
 """
 
 import pytest
 
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
 from repro.compile.emit import (
     compile_context_string_analysis,
     compile_transformer_analysis,
 )
+from repro.core.analysis import analyze
 from repro.core.config import config_by_name
 from repro.datalog.cost import analyze_cost
 from repro.datalog.engine import Engine
 from repro.datalog.kernel import KernelEngine
-from repro.frontend.factgen import facts_from_source
+from repro.frontend.factgen import facts_from_source, generate_facts
 from repro.frontend.paper_programs import FIGURE_1, FIGURE_5
 
 CONFIGURATIONS = (
@@ -46,7 +48,7 @@ def _facts(name):
 @pytest.mark.parametrize("abstraction", sorted(COMPILERS))
 @pytest.mark.parametrize("configuration", CONFIGURATIONS)
 @pytest.mark.parametrize("source", ("figure1", "figure5"))
-def test_cost_order_is_bit_identical(source, configuration, abstraction):
+def test_cost_plan_is_bit_identical(source, configuration, abstraction):
     config = config_by_name(configuration)
     compiled = COMPILERS[abstraction](
         _facts(source), config.flavour, config.m, config.h
@@ -58,3 +60,22 @@ def test_cost_order_is_bit_identical(source, configuration, abstraction):
 
     assert Engine(ordered, builtins).run() == baseline
     assert KernelEngine(ordered, builtins).run() == baseline
+
+
+@pytest.mark.parametrize("abstraction", sorted(COMPILERS))
+@pytest.mark.parametrize("workload", DACAPO_NAMES)
+def test_cost_plan_matches_worklist_on_dacapo(workload, abstraction):
+    facts = generate_facts(dacapo_program(workload, 1))
+    config = config_by_name("1-call+H", abstraction)
+    compiled = COMPILERS[abstraction](
+        facts, config.flavour, config.m, config.h
+    )
+    plan = analyze_cost(compiled.program, builtins=compiled.builtins)
+    relations = compiled.decoder(
+        KernelEngine(plan.apply(), compiled.builtins).run()
+    )
+    solver = analyze(facts, config)
+    for relation in ("pts", "hpts", "call", "reach", "spts", "texc"):
+        assert relations.get(relation, set()) == getattr(solver, relation), (
+            workload, abstraction, relation,
+        )

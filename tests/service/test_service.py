@@ -1,14 +1,17 @@
 """AnalysisService: parity with the exhaustive solver on every query
-path (solved, snapshot-served, demand fallback), caching, metrics,
-partial-coverage routing and thread safety."""
+path (solved, snapshot-served, demand fallback) for the paper's programs
+and the seven DaCapo analogues, caching, metrics, partial-coverage
+routing and thread safety."""
 
 import threading
+import time
 
 import pytest
 
+from repro.bench.workloads import DACAPO_NAMES, dacapo_program
 from repro.core.analysis import analyze
 from repro.core.config import config_by_name
-from repro.frontend.factgen import facts_from_source
+from repro.frontend.factgen import facts_from_source, generate_facts
 from repro.frontend.paper_programs import FIGURE_1, FIGURE_5
 from repro.service.service import AnalysisService, variables_of
 
@@ -113,6 +116,80 @@ class TestOtherQueryKinds:
                 expected = result.may_alias(a, b)
                 assert warm.alias(a, b) == expected, (a, b)
                 assert cold.alias(a, b) == expected, (a, b)
+
+
+def _assert_serves(service, facts, result, label):
+    """All four query kinds against the exhaustive solve: every
+    variable's points-to set, every call site's callees, every
+    allocation site's fields, and the alias matrix of the first eight
+    variables."""
+    by_var = {}
+    for (var, heap) in result.pts_ci():
+        by_var.setdefault(var, set()).add(heap)
+    for var in variables_of(facts):
+        assert service.points_to(var) == frozenset(
+            by_var.get(var, set())
+        ), (label, var)
+    callees = {}
+    for (site, method) in result.call_graph():
+        callees.setdefault(site, set()).add(method)
+    sites = {row[0] for row in facts.virtual_invoke} | {
+        row[0] for row in facts.static_invoke
+    }
+    for site in sites:
+        assert service.callees(site) == frozenset(
+            callees.get(site, set())
+        ), (label, site)
+    fields = {}
+    for (base, field, pointee) in result.hpts_ci():
+        fields.setdefault(base, {}).setdefault(field, set()).add(pointee)
+    for heap in {row[0] for row in facts.assign_new}:
+        expected = {
+            field: frozenset(pointees)
+            for field, pointees in fields.get(heap, {}).items()
+        }
+        assert service.fields_of(heap) == expected, (label, heap)
+    variables = sorted(variables_of(facts))[:8]
+    for a in variables:
+        for b in variables:
+            assert service.alias(a, b) == result.may_alias(a, b), (
+                label, a, b,
+            )
+
+
+@pytest.mark.parametrize("workload", DACAPO_NAMES)
+@pytest.mark.parametrize("abstraction", ABSTRACTIONS)
+class TestDacapoParity:
+    """The seven DaCapo analogues at scale 1 under 2-object+H, on every
+    query path."""
+
+    @staticmethod
+    def _case(workload, abstraction):
+        facts = generate_facts(dacapo_program(workload, 1))
+        config = config_by_name("2-object+H", abstraction)
+        return facts, config, analyze(facts, config)
+
+    def test_presolved_service(self, workload, abstraction):
+        facts, config, result = self._case(workload, abstraction)
+        service = AnalysisService.from_facts(facts, config, solve=True)
+        _assert_serves(service, facts, result, (workload, abstraction))
+        assert service.stats()["paths"]["cold"] == 0
+
+    def test_snapshot_served(self, workload, abstraction, tmp_path):
+        facts, config, result = self._case(workload, abstraction)
+        path = str(tmp_path / f"{workload}.snap")
+        AnalysisService.from_facts(facts, config).save_snapshot(path)
+        service = AnalysisService.from_snapshot(path)
+        _assert_serves(service, facts, result, (workload, abstraction))
+        assert service.stats()["paths"]["cold"] == 0
+
+    def test_demand_fallback(self, workload, abstraction):
+        facts, config, result = self._case(workload, abstraction)
+        service = AnalysisService.from_facts(facts, config, solve=False)
+        _assert_serves(service, facts, result, (workload, abstraction))
+        stats = service.stats()
+        assert stats["paths"]["warm"] == 0
+        assert stats["paths"]["cold"] > 0
 
 
 class TestPartialCoverage:
@@ -249,6 +326,21 @@ class TestKernelBackend:
             AnalysisService.from_facts(
                 facts, config_by_name("1-call"), backend="llvm"
             )
+
+    def test_snapshot_restore_beats_a_cold_solve(self, tmp_path):
+        # The premise of warm starts: restoring a snapshot is cheaper
+        # than the kernel-backed cold solve that produced it.
+        facts = generate_facts(dacapo_program("bloat", 1))
+        config = config_by_name("1-call")
+        start = time.perf_counter()
+        service = AnalysisService.from_facts(facts, config, backend="kernel")
+        solve_seconds = time.perf_counter() - start
+        path = str(tmp_path / "bloat.json")
+        service.save_snapshot(path)
+        start = time.perf_counter()
+        AnalysisService.from_snapshot(path)
+        restore_seconds = time.perf_counter() - start
+        assert restore_seconds < solve_seconds
 
     def test_kernel_solved_service_snapshots_and_updates(self, tmp_path):
         from repro.incremental import FactDelta
